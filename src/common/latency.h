@@ -5,14 +5,13 @@
 /// \brief Shared latency accounting: nearest-rank percentiles, the
 /// "is this percentile meaningful" rule, and a recorder/summary pair.
 ///
-/// Before this header existed, tools/loadgen.cc and serve/slo.cc each
-/// carried their own copy of the nearest-rank index formula and the
-/// defined-percentile rule; the workload runner (src/workload/) would have
-/// been a third.  One definition here keeps client-side and server-side
-/// reports comparable by construction:
+/// The workload runner (src/workload/) and serve/slo.cc both summarize
+/// latencies through this one definition of the nearest-rank index
+/// formula and the defined-percentile rule, which keeps client-side and
+/// server-side reports comparable by construction:
 ///
 ///   * nearest-rank index: min(n-1, floor(p*(n-1) + 0.5)) over the sorted
-///     samples — identical to what the loadgen always printed;
+///     samples;
 ///   * defined rule: a percentile p is only meaningful with at least
 ///     1/(1-p) samples (p99 needs 100); below that the estimate is just
 ///     the max sample dressed up as a tail, so it reports as undefined;

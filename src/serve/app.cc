@@ -277,11 +277,12 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
         // degraded-quality mode (α-sample / partially-refined matrix)
         // instead of being queued or shed.  The fault point lets tests
         // force the mode deterministically.
+        const bool short_deadline =
+            context != nullptr && !introspection &&
+            context->has_deadline() &&
+            context->remaining_seconds() * 1e3 <
+                options_.brownout_deadline_ms;
         if (context != nullptr && !introspection) {
-          const bool short_deadline =
-              context->has_deadline() &&
-              context->remaining_seconds() * 1e3 <
-                  options_.brownout_deadline_ms;
           if ((options_.admission_enabled && decision.saturated) ||
               short_deadline || VS_FAULT("brownout.force")) {
             context->set_brownout(true);
@@ -292,42 +293,18 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
           }
         }
-        // Session traffic only: health probes must stay instant for the
-        // router's failure detector and migration must not pay a fake
-        // service delay per admin hop.
-        if (!introspection && !admin && options_.simulate_service_ms > 0.0) {
-          if (options_.simulate_cores > 0) {
-            std::unique_lock<std::mutex> lock(sim_mu_);
-            {
-              // The simulated-core gate is the process's one real queue;
-              // charge the wait to the same "queue" stage.
-              obs::StageTimer queue_stage("queue");
-              sim_cv_.wait(lock, [this] {
-                return sim_in_service_ < options_.simulate_cores;
-              });
-            }
-            ++sim_in_service_;
-            lock.unlock();
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    options_.simulate_service_ms));
-            lock.lock();
-            --sim_in_service_;
-            sim_cv_.notify_one();
-          } else {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    options_.simulate_service_ms));
-          }
-        }
         Stopwatch handler_watch;
         HttpResponse response = handler(request, params);
         if (options_.admission_enabled) {
           // AIMD congestion signal: handler failure, a deadline blown
-          // while we held the slot, or latency beyond the SLO budget.
+          // while we held the slot, or latency beyond the SLO budget.  A
+          // deadline that was already short at admission is the client's
+          // budget, not queueing: brownout answered it degraded, so its
+          // expiry says nothing about this endpoint's capacity.
           const bool congested =
               response.status >= 500 ||
-              (context != nullptr && context->deadline_expired()) ||
+              (!short_deadline && context != nullptr &&
+               context->deadline_expired()) ||
               (options_.slo_budget_ms > 0.0 &&
                handler_watch.ElapsedSeconds() * 1e3 >
                    options_.slo_budget_ms);
@@ -468,7 +445,7 @@ HttpResponse ServeApp::Handle(const HttpRequest& request) {
   }
 
   // Echo the id on every response (success and error alike) and expose
-  // the per-stage breakdown so clients (loadgen) can report server-side
+  // the per-stage breakdown so clients (workbench) can report server-side
   // time without a second round trip.
   response.extra_headers.emplace_back("X-Request-Id", id);
   if (!options_.shard_name.empty()) {

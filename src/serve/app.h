@@ -37,9 +37,7 @@
 /// table, SLO window state and subsystem summaries.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "common/clock.h"
@@ -87,18 +85,6 @@ struct ServeAppOptions {
   /// router's clients rely on.  Empty = single-process serving, no
   /// cluster headers.
   std::string shard_name;
-  /// Artificial per-request service time for session endpoints (admin
-  /// and introspection routes excluded), in milliseconds.  Models a
-  /// deployment whose workers are latency-bound (I/O, model inference)
-  /// rather than CPU-bound, which is what makes shard-scaling benchmarks
-  /// honest on small machines — see bench/bench_cluster.cc.  <= 0 off.
-  double simulate_service_ms = 0.0;
-  /// With simulate_service_ms: at most this many requests are inside the
-  /// simulated service at once (a worker with N cores); excess requests
-  /// queue at the gate.  The transport is thread-per-connection, so
-  /// capping its thread count would starve keep-alive connections — this
-  /// caps service capacity instead.  <= 0 = unbounded.
-  int simulate_cores = 0;
   /// Time source for the SLO window; nullptr = real clock.
   const Clock* clock = nullptr;
   /// Adaptive admission control (docs/ARCHITECTURE.md "Overload &
@@ -164,10 +150,6 @@ class ServeApp {
   AdmissionController admission_;
   obs::InflightRegistry inflight_;
   std::atomic<uint64_t> request_sequence_{0};
-  /// Simulated-core gate for simulate_service_ms (see ServeAppOptions).
-  std::mutex sim_mu_;
-  std::condition_variable sim_cv_;
-  int sim_in_service_ = 0;
 };
 
 }  // namespace vs::serve

@@ -12,7 +12,7 @@
 /// Clock (FakeClock in tests) and pruned on record/snapshot; percentiles
 /// are nearest-rank over the live window.  A tail percentile below
 /// 1/(1-p) samples is reported as undefined rather than dressing the max
-/// sample up as a p99 (same rule as tools/loadgen).
+/// sample up as a p99 (same rule as the workload runner's reports).
 ///
 /// Burn accounting: a request over its endpoint's budget increments a
 /// cumulative *burn counter* (exported as `slo.breaches.<endpoint>` in

@@ -1,6 +1,7 @@
 #include "testing/fault_injection.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -11,6 +12,10 @@ std::atomic<FaultInjector*> g_active{nullptr};
 }  // namespace internal
 
 namespace {
+
+/// Fault points currently inside FireFaultPoint.  Uninstalling waits for
+/// this to drain, so no Fire() outlives the injector it saw.
+std::atomic<uint64_t> g_firing{0};
 
 /// Cached handles into the default registry (amortized registration).
 struct FaultMetrics {
@@ -168,12 +173,24 @@ FaultInjector::AllStats() const {
 }
 
 void InstallFaultInjector(FaultInjector* injector) {
-  internal::g_active.store(injector, std::memory_order_release);
+  // seq_cst on both sides (here and in FireFaultPoint) orders the store
+  // of g_active against the reader's increment of g_firing: either the
+  // reader's re-check sees the new value, or this drain loop sees the
+  // reader's increment and waits for its Fire() to return.
+  internal::g_active.store(injector, std::memory_order_seq_cst);
+  if (injector != nullptr) return;
+  while (g_firing.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
 }
 
 bool FireFaultPoint(std::string_view point) {
-  FaultInjector* injector = ActiveFaultInjector();
-  return injector != nullptr && injector->Fire(point);
+  g_firing.fetch_add(1, std::memory_order_seq_cst);
+  FaultInjector* injector =
+      internal::g_active.load(std::memory_order_seq_cst);
+  const bool fire = injector != nullptr && injector->Fire(point);
+  g_firing.fetch_sub(1, std::memory_order_release);
+  return fire;
 }
 
 }  // namespace vs::fault

@@ -13,8 +13,8 @@
 ///     }
 ///
 /// With no injector installed (the default, and the only state production
-/// ever runs in) a fault point costs exactly one relaxed atomic load and
-/// never fires.  Tests install a FaultInjector, configure points to fire
+/// ever runs in) a fault point costs exactly one atomic load and never
+/// fires.  Tests install a FaultInjector, configure points to fire
 /// with a probability or on an explicit schedule of hit indices, and every
 /// guarded failure path becomes reachable on demand.
 ///
@@ -119,12 +119,17 @@ class FaultInjector {
 };
 
 /// Installs \p injector process-wide (nullptr uninstalls).  The caller
-/// keeps ownership and must keep it alive while installed.
+/// keeps ownership and must keep it alive while installed.  Installing
+/// publishes the injector's construction to every thread that later sees
+/// it; uninstalling returns only once no Fire() that saw the previous
+/// injector is still running, so a stack-allocated injector may die right
+/// after its ScopedFaultInjector does.
 void InstallFaultInjector(FaultInjector* injector);
 
-/// The currently installed injector, or nullptr.
+/// The currently installed injector, or nullptr.  Acquire pairs with the
+/// release store in InstallFaultInjector.
 inline FaultInjector* ActiveFaultInjector() {
-  return internal::g_active.load(std::memory_order_relaxed);
+  return internal::g_active.load(std::memory_order_acquire);
 }
 
 /// RAII install/uninstall for tests.
@@ -142,7 +147,7 @@ class ScopedFaultInjector {
 /// Out-of-line slow path (counts the hit, decides, bumps obs counters).
 bool FireFaultPoint(std::string_view point);
 
-/// The guard production code uses.  Disabled cost: one relaxed load.
+/// The guard production code uses.  Disabled cost: one load.
 inline bool InjectFault(const char* point) {
   return ActiveFaultInjector() != nullptr && FireFaultPoint(point);
 }

@@ -21,6 +21,20 @@ using vs::serve::ClientResponse;
 using vs::serve::HttpClient;
 using vs::serve::JsonValue;
 
+/// Inserts \p request into \p slowest (kept sorted slowest first, at most
+/// kSlowestRequests long) when it ranks.
+void KeepSlowest(std::vector<SlowRequest>& slowest, SlowRequest request) {
+  if (slowest.size() == kSlowestRequests &&
+      request.client_ms <= slowest.back().client_ms) {
+    return;
+  }
+  const auto at = std::upper_bound(
+      slowest.begin(), slowest.end(), request.client_ms,
+      [](double ms, const SlowRequest& r) { return ms > r.client_ms; });
+  slowest.insert(at, std::move(request));
+  if (slowest.size() > kSlowestRequests) slowest.pop_back();
+}
+
 /// Per-worker accumulation; merged under no lock after the joins.
 struct WorkerStats {
   std::map<std::string, vs::LatencyRecorder> recorders;
@@ -29,6 +43,7 @@ struct WorkerStats {
   std::map<std::string, uint64_t> degraded;
   std::map<std::string, uint64_t> deadline_expired;
   std::map<std::string, uint64_t> shard_counts;
+  std::vector<SlowRequest> slowest;
   uint64_t sessions_started = 0;
   uint64_t sessions_completed = 0;
   uint64_t ops_executed = 0;
@@ -49,7 +64,8 @@ struct Reply {
   double seconds = 0.0;
 };
 
-/// One timed request.  Classification: transport failure and 5xx are
+/// One timed request; every answered one is a candidate for the
+/// slowest-requests list.  Classification: transport failure and 5xx are
 /// errors; 429/503 is backpressure (the shed is charged against the SLO
 /// denominator but not the latency distribution — a fast rejection is not
 /// a fast answer); a 504 is backpressure too — the deadline the runner
@@ -82,6 +98,11 @@ Reply TimedRequest(HttpClient& client, WorkerStats& stats,
   if (const std::string* shard = result->FindHeader("x-shard")) {
     ++stats.shard_counts[*shard];
   }
+  const std::string* stages = result->FindHeader("x-request-stages");
+  KeepSlowest(stats.slowest,
+              SlowRequest{request_id, endpoint, reply.status,
+                          reply.seconds * 1e3,
+                          stages != nullptr ? *stages : std::string()});
   if (reply.status == 429 || reply.status == 503 || reply.status == 504) {
     reply.outcome = Outcome::kBackpressure;
     ++stats.backpressure[endpoint];
@@ -373,6 +394,15 @@ std::string RunReport::FormatText() const {
     }
     out += "\n";
   }
+  if (!slowest.empty()) {
+    out += "  slowest requests:\n";
+    for (const SlowRequest& r : slowest) {
+      out += vs::StrFormat("    %8.1f ms  %-16s HTTP %d  id=%s  stages=%s\n",
+                           r.client_ms, r.endpoint.c_str(), r.status,
+                           r.id.c_str(),
+                           r.stages.empty() ? "-" : r.stages.c_str());
+    }
+  }
   out += vs::StrFormat("verdict: %s\n", Pass() ? "PASS" : "FAIL");
   return out;
 }
@@ -432,7 +462,19 @@ std::string RunReport::ToJson() const {
                          vs::serve::JsonQuote(shard).c_str(),
                          static_cast<unsigned long long>(count));
   }
-  out += vs::StrFormat("},\n  \"pass\": %s\n}\n", Pass() ? "true" : "false");
+  out += "},\n  \"slowest\": [";
+  i = 0;
+  for (const SlowRequest& r : slowest) {
+    out += vs::StrFormat(
+        "%s\n    {\"id\": %s, \"endpoint\": %s, \"status\": %d, "
+        "\"client_ms\": %.3f, \"stages\": %s}",
+        i++ > 0 ? "," : "", vs::serve::JsonQuote(r.id).c_str(),
+        vs::serve::JsonQuote(r.endpoint).c_str(), r.status, r.client_ms,
+        vs::serve::JsonQuote(r.stages).c_str());
+  }
+  out += vs::StrFormat("%s],\n  \"pass\": %s\n}\n",
+                       slowest.empty() ? "" : "\n  ",
+                       Pass() ? "true" : "false");
   return out;
 }
 
@@ -553,6 +595,9 @@ vs::Result<RunReport> RunWorkload(const WorkloadPlan& plan,
     report.retries_suppressed += local.retries_suppressed;
     for (const auto& [shard, count] : local.shard_counts) {
       report.shard_counts[shard] += count;
+    }
+    for (const SlowRequest& r : local.slowest) {
+      KeepSlowest(report.slowest, r);
     }
   }
   for (const auto& [name, recorder] : merged) {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/latency.h"
 #include "common/result.h"
@@ -57,6 +58,19 @@ struct EndpointReport {
   double WithinSloFraction() const;
 };
 
+/// One answered request in the slowest-requests list: what a slow answer
+/// cost the client, and where the server says the time went.
+struct SlowRequest {
+  std::string id;        ///< the X-Request-Id the runner sent
+  std::string endpoint;
+  int status = 0;
+  double client_ms = 0.0;
+  std::string stages;    ///< the server's X-Request-Stages echo ("" if none)
+};
+
+/// How many of the slowest answered requests a report lists.
+inline constexpr size_t kSlowestRequests = 5;
+
 struct RunReport {
   std::string workload;
   uint64_t seed = 0;
@@ -76,11 +90,13 @@ struct RunReport {
   int require_shards = 0;
   std::map<std::string, EndpointReport> endpoints;
   std::map<std::string, uint64_t> shard_counts;
+  /// The kSlowestRequests slowest answered requests, slowest first.
+  std::vector<SlowRequest> slowest;
 
   bool ShardsOk() const;
   /// The machine-readable PASS/FAIL the CI job exits on.
   bool Pass() const;
-  /// Human-readable report (loadgen-style table).
+  /// Human-readable report (per-endpoint table).
   std::string FormatText() const;
   /// Machine-readable report (the BENCH_PR8.json payload).
   std::string ToJson() const;

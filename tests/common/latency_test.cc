@@ -17,7 +17,7 @@ TEST(LatencyPercentileTest, DefinedRuleNeedsEnoughSamples) {
 }
 
 TEST(LatencyPercentileTest, NearestRankIndex) {
-  // min(n-1, floor(p*(n-1) + 0.5)) — the formula loadgen always used.
+  // min(n-1, floor(p*(n-1) + 0.5)) — the nearest-rank formula.
   EXPECT_EQ(LatencyPercentileIndex(1, 0.99), 0u);
   EXPECT_EQ(LatencyPercentileIndex(100, 0.5), 50u);
   EXPECT_EQ(LatencyPercentileIndex(100, 0.99), 98u);

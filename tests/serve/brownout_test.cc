@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,64 @@ TEST_F(BrownoutTest, HealerRestoresFullQuality) {
   ASSERT_EQ(next.status, 200) << next.body;
   EXPECT_EQ(Header(next, "X-Quality"), nullptr);
   EXPECT_EQ(next.body.find("\"quality\""), std::string::npos);
+}
+
+/// A `serve.handler_stall` schedule under which each of \p requests
+/// consecutive dispatches stalls for \p fires × 2 ms between admission and
+/// its handler: hits 1..fires fire, hit fires+1 releases the first
+/// request, and so on.
+std::vector<uint64_t> StallSchedule(int requests, int fires) {
+  std::vector<uint64_t> hits;
+  for (int r = 0; r < requests; ++r) {
+    for (int f = 1; f <= fires; ++f) {
+      hits.push_back(static_cast<uint64_t>(r * (fires + 1) + f));
+    }
+  }
+  return hits;
+}
+
+HttpRequest CreateWithDeadline(double deadline_ms) {
+  HttpRequest request = Req("POST", "/sessions", "{\"k\":3}");
+  request.headers.emplace_back("x-deadline-ms",
+                               std::to_string(deadline_ms));
+  return request;
+}
+
+// A create whose deadline was already short at admission is put into
+// brownout and answered 201 degraded.  Its deadline running out during
+// that build is the client's budget, not queueing, so it must not cut the
+// endpoint's AIMD limit: six such creates in a row leave the limit where
+// it started.
+TEST_F(BrownoutTest, ShortDeadlineBrownoutCreatesLeaveLimitAlone) {
+  ServeAppOptions options;
+  options.admission_enabled = true;
+  ServeApp app(manager_.get(), options);
+  constexpr int kCreates = 6;
+  fault::FaultInjector injector(1);
+  injector.SetSchedule("serve.handler_stall", StallSchedule(kCreates, 20));
+  fault::ScopedFaultInjector scoped(&injector);
+  for (int i = 0; i < kCreates; ++i) {
+    HttpResponse created = app.Handle(CreateWithDeadline(25.0));
+    ASSERT_EQ(created.status, 201) << created.body;
+    EXPECT_NE(Header(created, "X-Quality"), nullptr);
+  }
+  EXPECT_EQ(app.admission().LimitFor("create_session"),
+            options.admission.initial_limit);
+}
+
+// The other side of the same rule: a deadline that was not short at
+// admission and still ran out while the request held its slot is
+// congestion, and the limit backs off.
+TEST_F(BrownoutTest, LongDeadlineExpiringInHandlerStillBacksOff) {
+  ServeAppOptions options;
+  options.admission_enabled = true;
+  ServeApp app(manager_.get(), options);
+  fault::FaultInjector injector(1);
+  injector.SetSchedule("serve.handler_stall", StallSchedule(1, 50));
+  fault::ScopedFaultInjector scoped(&injector);
+  app.Handle(CreateWithDeadline(options.brownout_deadline_ms + 10.0));
+  EXPECT_LT(app.admission().LimitFor("create_session"),
+            options.admission.initial_limit);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Degradation drill, run by CI after a build (docs/TESTING.md
+# Degradation drill, run by hand after a build (docs/TESTING.md
 # "Degradation drill"):
-#  1. generate a small synthetic big-schema table,
+#  1. generate a 3M-row big-schema table: a cold create on it costs
+#     hundreds of milliseconds of scans and features, and the drill's
+#     spec draws ~120 distinct filters so most creates miss the matrix
+#     cache — the open-loop arrivals outrun 2 workers on real engine work,
 #  2. start 2 `viewseeker serve` workers (admission control on by
-#     default, simulated service time so the drill saturates
-#     deterministically even on fast CI machines) behind one
-#     `viewseeker route` front-end,
+#     default) behind one `viewseeker route` front-end,
 #  3. replay workloads/degradation_drill.json through the router with
 #     per-request deadlines, and
 #  4. assert the overload contract:
@@ -41,6 +42,7 @@ WORKBENCH="$BUILD_DIR/tools/workbench"
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 SPEC="$REPO_DIR/workloads/degradation_drill.json"
 TABLE="$WORK_DIR/bench.vst"
+ROWS=3000000
 ROUTER="http://127.0.0.1:$BASE_PORT"
 
 # Pulls an integer field out of a flat JSON report ("key": 123).
@@ -52,18 +54,17 @@ start_worker() {
   local i="$1"
   "$VIEWSEEKER" serve --table="$TABLE" --port="$(worker_port "$i")" \
       --shard-name="shard$i" --durability-dir="$WORK_DIR/shard$i" \
-      --no-fsync --max-sessions=128 \
-      --workers=64 --simulate-service-ms=50 --simulate-cores=1 \
+      --no-fsync --max-sessions=128 --workers=64 \
       --brownout-deadline-ms=300 --heal-interval=0.2 \
       >>"$WORK_DIR/shard$i.log" 2>&1 &
   WORKER_PIDS[$i]=$!
 }
 
-echo "== generate table (big-schema, small row count so cold builds are"
-echo "   fast — the drill saturates on concurrency, not on build time)"
-"$VIEWSEEKER" generate --dataset=big --rows=2000 --seed=99 --out="$TABLE"
+echo "== generate table (big-schema, ${ROWS} rows: the drill saturates on"
+echo "   real cold builds)"
+"$VIEWSEEKER" generate --dataset=big --rows="$ROWS" --seed=99 --out="$TABLE"
 
-echo "== start 2 workers (admission on, simulated 2-core service) + router"
+echo "== start 2 workers (admission on) + router"
 SHARDS=""
 for i in 0 1; do
   start_worker "$i"
@@ -74,8 +75,10 @@ done
     >"$WORK_DIR/router.log" 2>&1 &
 ROUTER_PID=$!
 
-for i in $(seq 1 50); do
-  if curl -sf "$ROUTER/healthz" >/dev/null 2>&1; then
+# Workers load the table before they answer, so wait for the router to
+# see both of them healthy, not just for the router itself.
+for i in $(seq 1 150); do
+  if curl -sf "$ROUTER/healthz" 2>/dev/null | grep -q '"status":"ok"'; then
     break
   fi
   if ! kill -0 "$ROUTER_PID" 2>/dev/null; then

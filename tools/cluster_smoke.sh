@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Smoke test for the sharded serving tier, run by CI after a build:
-#  1. generate a small table,
+#  1. generate a small big-schema table,
 #  2. start 4 `viewseeker serve` workers (each with its own durability
 #     dir and shard name) and one `viewseeker route` front-end over them,
 #  3. assert X-Request-Id echo and X-Shard stamping through the router,
 #  4. create + label a session, migrate it live to another shard, and
 #     require byte-identical labels plus exactly-one-copy placement
 #     (checked against the workers directly, bypassing the router),
-#  5. drive the router with loadgen and require traffic on every shard,
+#  5. replay workloads/closed_smoke.json through the router with
+#     workbench, requiring its SLO verdict and traffic on every shard,
 #  6. validate the aggregated /metrics with promcheck and spot-check the
 #     aggregated /statusz,
 #  7. SIGKILL a worker and watch the failure detector eject it (router
@@ -35,8 +36,10 @@ cleanup() {
 trap cleanup EXIT
 
 VIEWSEEKER="$BUILD_DIR/tools/viewseeker"
-LOADGEN="$BUILD_DIR/tools/loadgen"
+WORKBENCH="$BUILD_DIR/tools/workbench"
 PROMCHECK="$BUILD_DIR/tools/promcheck"
+REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
+SPEC="$REPO_DIR/workloads/closed_smoke.json"
 TABLE="$WORK_DIR/cluster.vst"
 ROUTER="http://127.0.0.1:$BASE_PORT"
 
@@ -46,7 +49,7 @@ start_worker() {
   local i="$1"
   "$VIEWSEEKER" serve --table="$TABLE" --port="$(worker_port "$i")" \
       --shard-name="shard$i" --durability-dir="$WORK_DIR/shard$i" \
-      --no-fsync --max-sessions=64 \
+      --no-fsync --max-sessions=64 --workers=16 \
       >>"$WORK_DIR/shard$i.log" 2>&1 &
   WORKER_PIDS[$i]=$!
 }
@@ -55,15 +58,17 @@ echo "== build info"
 "$VIEWSEEKER" route --build-info
 
 echo "== generate table"
-"$VIEWSEEKER" generate --dataset=diab --rows=2000 --out="$TABLE"
+"$VIEWSEEKER" generate --dataset=big --rows=2000 --out="$TABLE"
 
+# The transport holds a worker thread per keep-alive connection, so the
+# router and every worker get one per workbench lane (and router lane).
 echo "== start 4 workers + router"
 SHARDS=""
 for i in 0 1 2 3; do
   start_worker "$i"
   SHARDS+="${SHARDS:+,}shard$i=127.0.0.1:$(worker_port "$i")"
 done
-"$VIEWSEEKER" route --port="$BASE_PORT" --shards="$SHARDS" \
+"$VIEWSEEKER" route --port="$BASE_PORT" --shards="$SHARDS" --workers=16 \
     --probe-interval=0.5 --eject-after=3 \
     >"$WORK_DIR/router.log" 2>&1 &
 ROUTER_PID=$!
@@ -127,11 +132,9 @@ TO_CODE="$(curl -s -o /dev/null -w '%{http_code}' \
   || { echo "expected 404 on $FROM / 200 on $TO, got $FROM_CODE/$TO_CODE"; exit 1; }
 echo "migrated $SID: $FROM -> $TO, labels + top-k byte-identical"
 
-echo "== loadgen through the router (16 users x 5s, all shards required)"
-"$LOADGEN" --port="$BASE_PORT" --users=16 --duration=5 --think-ms=5 \
-    --require-shards=4 | tee "$WORK_DIR/loadgen.txt"
-grep -q "require-shards: PASS" "$WORK_DIR/loadgen.txt" \
-  || { echo "shard coverage verdict missing or FAIL"; exit 1; }
+echo "== workbench through the router (8 lanes x 5s, all shards required)"
+# Exit code = verdict: SLO met, zero errors, and all 4 shards served.
+"$WORKBENCH" --spec="$SPEC" --port="$BASE_PORT" --require-shards=4
 
 echo "== aggregated metrics after load"
 # Capture before grepping: `grep -q` closing the pipe early would EPIPE

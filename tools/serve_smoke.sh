@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for the serving subsystem, run by CI after a build:
-#  1. generate a small table,
+#  1. generate a small big-schema table,
 #  2. start `viewseeker serve` on it (wide events + SLO budget on),
 #  3. assert X-Request-Id echo on both the success and the error path,
-#  4. drive it with loadgen (8 concurrent simulated users, a few seconds),
-#     including the per-endpoint SLO report,
+#  4. replay workloads/closed_smoke.json through workbench (8 closed-loop
+#     lanes for a few seconds); its SLO verdict is the exit code, and the
+#     report must carry the per-endpoint table and the slowest requests,
 #  5. validate /metrics with promcheck (Prometheus exposition well-formed,
 #     histograms cumulative) and spot-check /statusz,
 #  6. SIGTERM the server and require a clean drain + exit.
@@ -18,18 +19,24 @@ WORK_DIR="$(mktemp -d)"
 trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$WORK_DIR"' EXIT
 
 VIEWSEEKER="$BUILD_DIR/tools/viewseeker"
-LOADGEN="$BUILD_DIR/tools/loadgen"
+WORKBENCH="$BUILD_DIR/tools/workbench"
 PROMCHECK="$BUILD_DIR/tools/promcheck"
+REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
+SPEC="$REPO_DIR/workloads/closed_smoke.json"
 TABLE="$WORK_DIR/smoke.vst"
 
 echo "== build info"
 "$VIEWSEEKER" serve --build-info
 
 echo "== generate table"
-"$VIEWSEEKER" generate --dataset=diab --rows=2000 --out="$TABLE"
+"$VIEWSEEKER" generate --dataset=big --rows=2000 --out="$TABLE"
 
 echo "== start server on port $PORT"
+# The transport holds a worker thread per keep-alive connection, so each
+# of the spec's 8 lanes needs its own worker (the default is 4 on a
+# 4-core machine).
 "$VIEWSEEKER" serve --table="$TABLE" --port="$PORT" --max-sessions=32 \
+    --workers=16 \
     --spill-dir="$WORK_DIR/spill" --slo-ms=2000 --slow-request-ms=1000 \
     --wide-events-out="$WORK_DIR/wide.jsonl" --wide-event-sample=1 \
     >"$WORK_DIR/serve.log" 2>&1 &
@@ -62,13 +69,15 @@ grep -q "^HTTP/1.1 404" "$WORK_DIR/err_headers.txt" \
 grep -qi "^x-request-id: smoke-err-1" "$WORK_DIR/err_headers.txt" \
   || { echo "X-Request-Id not echoed on error"; cat "$WORK_DIR/err_headers.txt"; exit 1; }
 
-echo "== loadgen: 8 users x 5s (SLO report on)"
-"$LOADGEN" --port="$PORT" --users=8 --duration=5 --think-ms=5 \
-    --slo-ms=2000 --worst=3 | tee "$WORK_DIR/loadgen.txt"
-grep -q "per-endpoint latency" "$WORK_DIR/loadgen.txt" \
+echo "== workbench: closed_smoke, 8 lanes x 5s (SLO verdict = exit code)"
+"$WORKBENCH" --spec="$SPEC" --port="$PORT" \
+    --json-out="$WORK_DIR/report.json" | tee "$WORK_DIR/workbench.txt"
+grep -q "^  create_session .*within-slo" "$WORK_DIR/workbench.txt" \
   || { echo "per-endpoint report missing"; exit 1; }
-grep -q "^slo: PASS" "$WORK_DIR/loadgen.txt" \
-  || { echo "loadgen SLO verdict missing or FAIL"; exit 1; }
+grep -q "^  slowest requests:" "$WORK_DIR/workbench.txt" \
+  || { echo "slowest-requests report missing"; exit 1; }
+grep -q '"slowest": \[' "$WORK_DIR/report.json" \
+  || { echo "slowest requests missing from the JSON report"; exit 1; }
 
 echo "== healthz + metrics after load"
 curl -sf "http://127.0.0.1:$PORT/healthz"

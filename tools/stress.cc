@@ -57,12 +57,12 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -82,46 +82,7 @@
 namespace {
 
 using namespace vs;
-
-/// Parsed --key=value arguments (same shape as tools/viewseeker.cc).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (!StartsWith(arg, "--")) continue;
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "true";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseInt64(it->second).ValueOr(fallback);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseDouble(it->second).ValueOr(fallback);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 struct StressConfig {
   uint64_t fault_seed = 1;

@@ -29,10 +29,6 @@
 ///                        [--wide-event-sample=N]
 ///                        [--shard-name=NAME]  (cluster identity: X-Shard
 ///                         header + wide-event/healthz shard field)
-///                        [--simulate-service-ms=0]  (artificial per-
-///                         request service time for scaling benchmarks)
-///                        [--simulate-cores=0]  (cap on concurrently
-///                         simulated requests; 0 = unbounded)
 ///                        [--no-admission]  (disable the adaptive AIMD
 ///                         admission limiter; static queue bounds only)
 ///                        [--brownout-deadline-ms=50]  (serve degraded
@@ -82,12 +78,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "cluster/router_app.h"
 #include "common/build_info.h"
 #include "common/string_util.h"
@@ -111,73 +107,7 @@
 namespace {
 
 using namespace vs;
-
-/// Parsed --key=value arguments.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (!StartsWith(arg, "--")) continue;
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "true";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseInt64(it->second).ValueOr(fallback);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseDouble(it->second).ValueOr(fallback);
-  }
-
-  /// Bare flags (--no-fsync) parse as "true"; --key=false opts out.
-  bool GetBool(const std::string& key, bool fallback = false) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second != "false" && it->second != "0";
-  }
-
-  /// Warns on stderr for every parsed flag not in \p known — catches typos
-  /// like --fliter that would otherwise silently fall back to defaults.
-  /// Returns the number of unrecognized flags.
-  int WarnUnrecognized(std::initializer_list<const char*> known) const {
-    int unrecognized = 0;
-    for (const auto& [key, value] : values_) {
-      bool found = false;
-      for (const char* k : known) {
-        if (key == k) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        ++unrecognized;
-        std::fprintf(stderr, "warning: unrecognized flag --%s (ignored)\n",
-                     key.c_str());
-      }
-    }
-    return unrecognized;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -479,7 +409,6 @@ int CmdServe(const Args& args) {
                          "snapshot-every", "no-fsync", "slow-request-ms",
                          "slo-ms", "slo-window", "wide-events-out",
                          "wide-event-sample", "shard-name",
-                         "simulate-service-ms", "simulate-cores",
                          "no-admission", "brownout-deadline-ms",
                          "degraded-alpha", "heal-interval",
                          "build-info"});
@@ -534,8 +463,6 @@ int CmdServe(const Args& args) {
   app_options.brownout_deadline_ms =
       args.GetDouble("brownout-deadline-ms", 50.0);
   app_options.shard_name = args.Get("shard-name");
-  app_options.simulate_service_ms = args.GetDouble("simulate-service-ms", 0.0);
-  app_options.simulate_cores = static_cast<int>(args.GetInt("simulate-cores", 0));
   app_options.slow_request_ms = args.GetDouble("slow-request-ms", 500.0);
   app_options.slo_budget_ms = args.GetDouble("slo-ms", 0.0);
   app_options.slo_window_seconds = args.GetDouble("slo-window", 60.0);
@@ -781,7 +708,7 @@ int CmdRoute(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  Args args(argc, argv);
+  Args args(argc, argv, /*first=*/2);
   if (command == "generate") return CmdGenerate(args);
   if (command == "info") return CmdInfo(args);
   if (command == "views") return CmdViews(args);

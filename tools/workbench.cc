@@ -29,9 +29,9 @@
 /// one committed spec serves smoke (short) and bench (long) runs.
 
 #include <cstdio>
-#include <map>
 #include <string>
 
+#include "args.h"
 #include "common/result.h"
 #include "common/string_util.h"
 #include "workload/plan.h"
@@ -41,46 +41,7 @@
 namespace {
 
 using namespace vs;
-
-/// Parsed --key=value arguments (same shape as tools/viewseeker.cc).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (!StartsWith(arg, "--")) continue;
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "true";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseInt64(it->second).ValueOr(fallback);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseDouble(it->second).ValueOr(fallback);
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 bool WriteFileOrComplain(const std::string& path,
                          const std::string& content) {

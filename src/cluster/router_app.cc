@@ -92,6 +92,39 @@ HttpResponse JsonOk(std::string body, int status = 200) {
   return response;
 }
 
+/// The client's copy of a shard's answer: status, body, content type, the
+/// shard's request stages, its brownout marker and its deadline echo,
+/// plus X-Shard.
+HttpResponse RelayShardResponse(serve::ClientResponse& shard_response,
+                                const std::string& shard_name) {
+  HttpResponse response;
+  response.status = shard_response.status;
+  response.body = std::move(shard_response.body);
+  if (const std::string* type = shard_response.FindHeader("content-type")) {
+    response.content_type = *type;
+  }
+  if (const std::string* stages =
+          shard_response.FindHeader("x-request-stages")) {
+    response.extra_headers.emplace_back("X-Request-Stages", *stages);
+  }
+  if (const std::string* quality = shard_response.FindHeader("x-quality")) {
+    // Brownout marker: clients behind the router still learn the answer
+    // was served from a partially refined matrix.
+    response.extra_headers.emplace_back("X-Quality", *quality);
+  }
+  if (const std::string* echoed =
+          shard_response.FindHeader("x-deadline-budget-ms")) {
+    // The worker echoes the deadline it received; copying it through
+    // makes the router's hop decrement observable at the client.
+    response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
+  }
+  // Stamped by the router, not copied: the worker only knows its name
+  // when launched with --shard-name, and the router's view of who served
+  // the request is the one debugging needs.
+  response.extra_headers.emplace_back("X-Shard", shard_name);
+  return response;
+}
+
 }  // namespace
 
 double DecrementedDeadlineMs(double deadline_ms, double elapsed_ms) {
@@ -256,9 +289,11 @@ ClusterRouter::ForwardOutcome ClusterRouter::Exchange(
   if (budget != nullptr && budget->has_deadline()) {
     // The worker receives what is *left* of the client's budget after
     // this hop — the decrement that makes multi-hop deadlines honest.
+    // Never less than the header's 1 µs resolution: "0.000" would read
+    // as no deadline at all.
     const double remaining_ms = budget->remaining_ms();
     headers.emplace_back("X-Deadline-Ms",
-                         StrFormat("%.3f", remaining_ms));
+                         StrFormat("%.3f", std::max(remaining_ms, 1e-3)));
     retry.deadline_seconds =
         std::min(retry.deadline_seconds, remaining_ms * 1e-3);
   }
@@ -321,32 +356,7 @@ HttpResponse ClusterRouter::ForwardToShard(Shard& shard,
         StrFormat("shard %s unreachable: %s", shard.address.name.c_str(),
                   out.response.status().message().c_str()));
   }
-  HttpResponse response;
-  response.status = out.response->status;
-  response.body = std::move(out.response->body);
-  if (const std::string* type = out.response->FindHeader("content-type")) {
-    response.content_type = *type;
-  }
-  if (const std::string* stages =
-          out.response->FindHeader("x-request-stages")) {
-    response.extra_headers.emplace_back("X-Request-Stages", *stages);
-  }
-  if (const std::string* quality = out.response->FindHeader("x-quality")) {
-    // Brownout marker: clients behind the router still learn the answer
-    // was served from a partially refined matrix.
-    response.extra_headers.emplace_back("X-Quality", *quality);
-  }
-  if (const std::string* echoed =
-          out.response->FindHeader("x-deadline-budget-ms")) {
-    // The worker echoes the deadline it received; copying it through
-    // makes the router's hop decrement observable at the client.
-    response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
-  }
-  // Stamped by the router, not copied: the worker only knows its name
-  // when launched with --shard-name, and the router's view of who served
-  // the request is the one debugging needs.
-  response.extra_headers.emplace_back("X-Shard", shard.address.name);
-  return response;
+  return RelayShardResponse(*out.response, shard.address.name);
 }
 
 vs::Status ClusterRouter::EnterSession(const std::string& id) {
@@ -485,21 +495,7 @@ HttpResponse ClusterRouter::HandleCreate(const HttpRequest& request,
       m.retries_503->Increment();
       continue;
     }
-    HttpResponse response;
-    response.status = out.response->status;
-    response.body = std::move(out.response->body);
-    if (const std::string* type = out.response->FindHeader("content-type")) {
-      response.content_type = *type;
-    }
-    if (const std::string* quality = out.response->FindHeader("x-quality")) {
-      response.extra_headers.emplace_back("X-Quality", *quality);
-    }
-    if (const std::string* echoed =
-            out.response->FindHeader("x-deadline-budget-ms")) {
-      response.extra_headers.emplace_back("X-Deadline-Budget-Ms", *echoed);
-    }
-    response.extra_headers.emplace_back("X-Shard", shard->address.name);
-    return response;
+    return RelayShardResponse(*out.response, shard->address.name);
   }
   return last;
 }

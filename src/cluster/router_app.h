@@ -228,7 +228,10 @@ class ClusterRouter {
       return DecrementedDeadlineMs(deadline_ms,
                                    elapsed.ElapsedSeconds() * 1e3);
     }
-    bool expired() const { return has_deadline() && remaining_ms() <= 0.0; }
+    /// Spent once less than the forwarded header's 1 µs resolution is
+    /// left: a smaller remainder would reach the worker as "0.000", which
+    /// reads as no deadline at all.
+    bool expired() const { return has_deadline() && remaining_ms() < 1e-3; }
   };
 
   Shard* FindShard(const std::string& name);

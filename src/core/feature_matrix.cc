@@ -4,10 +4,8 @@
 #include <map>
 #include <utility>
 
-#include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/threadpool.h"
-#include "data/sampler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -72,7 +70,8 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     const data::Table* table, std::vector<ViewSpec> views,
     data::SelectionVector query_selection,
     const UtilityFeatureRegistry* registry,
-    const FeatureMatrixOptions& options) {
+    const FeatureMatrixOptions& options,
+    std::shared_ptr<ReferenceStore> store) {
   if (table == nullptr || registry == nullptr) {
     return vs::Status::InvalidArgument("table and registry are required");
   }
@@ -90,6 +89,12 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
       return vs::Status::OutOfRange("query selection row out of range");
     }
   }
+  if (store == nullptr) {
+    store = std::make_shared<ReferenceStore>(table, std::move(views));
+  } else if (&store->table() != table || store->views() != views) {
+    return vs::Status::InvalidArgument(
+        "reference store is bound to another table or view list");
+  }
 
   obs::ScopedSpan build_span("FeatureMatrix::Build");
   const BuildMetrics& metrics = BuildMetrics::Get();
@@ -100,33 +105,31 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
   fm.table_ = table;
   fm.registry_ = registry;
   auto imm = std::make_shared<Immutable>();
-  imm->views = std::move(views);
+  imm->store = std::move(store);
   imm->query_selection = std::move(query_selection);
+  ReferenceStore& refs = *imm->store;
+  const size_t num_views = refs.views().size();
   auto state = std::make_shared<State>();
-  state->raw = ml::Matrix(imm->views.size(), registry->size());
-  state->exact.assign(imm->views.size(), false);
+  state->raw = ml::Matrix(num_views, registry->size());
+  state->exact.assign(num_views, false);
 
   const bool exact_build = options.sample_rate >= 1.0;
-  data::GroupByExecutorOptions executor_options;
-  executor_options.use_kernel = options.use_kernels;
-  data::GroupByExecutor executor(table, executor_options);
+  // The store's executor is prewarmed, hence read-only: targets scan on
+  // it too (from any worker), over the same bins as the references.
+  VS_ASSIGN_OR_RETURN(const data::GroupByExecutor* executor,
+                      refs.Executor(options.use_kernels));
 
-  data::SelectionVector ref_sample;
   data::SelectionVector target_sample;
-  const data::SelectionVector* ref_sel = nullptr;  // nullptr = all rows
+  ReferenceStore::SampleId ref_sample;  // the full table
   const data::SelectionVector* target_sel = &imm->query_selection;
   if (!exact_build) {
-    vs::Rng rng(options.seed);
-    ref_sample =
-        data::BernoulliSample(table->num_rows(), options.sample_rate, &rng);
-    target_sample = Intersect(imm->query_selection, ref_sample);
-    if (target_sample.empty() || ref_sample.empty()) {
-      // The sample missed the (small) query subset entirely; rough
-      // features would be vacuous, so fall back to the full selections.
-      ref_sel = nullptr;
-      target_sel = &imm->query_selection;
-    } else {
-      ref_sel = &ref_sample;
+    VS_ASSIGN_OR_RETURN(std::shared_ptr<const data::SelectionVector> sample,
+                        refs.Sample(options.sample_rate, options.seed));
+    target_sample = Intersect(imm->query_selection, *sample);
+    // When the sample misses the (small) query subset entirely, rough
+    // features would be vacuous, so both sides keep the full selections.
+    if (!target_sample.empty() && !sample->empty()) {
+      ref_sample = {options.sample_rate, options.seed};
       target_sel = &target_sample;
     }
   }
@@ -135,23 +138,11 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
   fm.use_kernels_ = options.use_kernels;
 
   // Shared-scan batching (SeeDB-style): all views over one (dimension,
-  // bin count) share a single target pass and a single reference pass.
+  // bin count) share a single target pass and a single reference entry.
   // Without shared_scan every view is its own group (the per-view cost
   // model of the paper's prototype).
-  std::vector<std::vector<size_t>> groups;
-  if (options.shared_scan) {
-    std::map<std::pair<std::string, int32_t>, size_t> group_of;
-    for (size_t i = 0; i < imm->views.size(); ++i) {
-      const auto key =
-          std::make_pair(imm->views[i].dimension, imm->views[i].num_bins);
-      auto [it, inserted] = group_of.emplace(key, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  } else {
-    groups.resize(imm->views.size());
-    for (size_t i = 0; i < imm->views.size(); ++i) groups[i] = {i};
-  }
+  const std::vector<std::vector<size_t>>& groups =
+      refs.groups(options.shared_scan);
 
   auto compute_group = [&](size_t g) -> vs::Status {
     const std::vector<size_t>& members = groups[g];
@@ -159,17 +150,19 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     std::vector<data::GroupBySpec> specs;
     specs.reserve(members.size());
     for (size_t i : members) {
-      specs.push_back(imm->views[i].ToGroupBySpec());
+      specs.push_back(refs.views()[i].ToGroupBySpec());
     }
     VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                        executor.ExecuteBatch(specs, target_sel));
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
-                        executor.ExecuteBatch(specs, ref_sel));
+                        executor->ExecuteBatch(specs, target_sel));
+    VS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ReferenceStore::GroupReferences> references,
+        refs.References(g, options.shared_scan, ref_sample,
+                        options.use_kernels));
     double feature_seconds = 0.0;
     for (size_t k = 0; k < members.size(); ++k) {
       ViewMaterialization mat;
       mat.target = std::move(targets[k]);
-      mat.reference = std::move(references[k]);
+      mat.reference = references->Get(k);
       VS_ASSIGN_OR_RETURN(mat.target_dist,
                           stats::Normalize(mat.target.values));
       VS_ASSIGN_OR_RETURN(mat.reference_dist,
@@ -201,12 +194,7 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
       VS_RETURN_IF_ERROR(compute_group(g));
     }
   } else {
-    // Groups are independent and write disjoint rows.  Prewarming the
-    // executor's numeric-range cache first makes ExecuteBatch read-only,
-    // so a single executor can be shared across workers.
-    for (const ViewSpec& view : imm->views) {
-      VS_RETURN_IF_ERROR(executor.Prewarm(view.ToGroupBySpec()));
-    }
+    // Groups are independent and write disjoint rows.
     std::vector<vs::Status> group_status(groups.size());
     ThreadPool pool(options.num_threads);
     pool.ParallelFor(0, groups.size(), [&](size_t g) {
@@ -217,8 +205,8 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
     }
   }
   if (exact_build) {
-    state->exact.assign(imm->views.size(), true);
-    state->num_exact = imm->views.size();
+    state->exact.assign(num_views, true);
+    state->num_exact = num_views;
   }
   state->normalized_dirty = true;
   fm.imm_ = std::move(imm);
@@ -270,22 +258,18 @@ vs::Status FeatureMatrix::RefineRow(size_t view_index) {
 
 vs::Status FeatureMatrix::RefineRows(
     const std::vector<size_t>& view_indices) {
-  const std::vector<ViewSpec>& views = imm_->views;
-  // Group the rough rows by (dimension, bin count) for shared scans; in
-  // per-view mode (shared_scan = false) each row is its own scan.
-  std::map<std::pair<std::string, int32_t>, std::vector<size_t>> groups;
-  int32_t next_unique = 0;
+  ReferenceStore& refs = *imm_->store;
+  // Group the rough rows by scan group (dimension, bin count) so each
+  // group's targets share one scan; in per-view mode (shared_scan =
+  // false) each row is its own group.
+  std::map<size_t, std::vector<size_t>> groups;
   for (size_t view_index : view_indices) {
-    if (view_index >= views.size()) {
+    if (view_index >= num_views()) {
       return vs::Status::OutOfRange("view index out of range");
     }
     if (state_->exact[view_index]) continue;
-    if (shared_scan_) {
-      groups[{views[view_index].dimension, views[view_index].num_bins}]
-          .push_back(view_index);
-    } else {
-      groups[{views[view_index].dimension, --next_unique}] = {view_index};
-    }
+    groups[refs.SlotOf(view_index, shared_scan_).group].push_back(
+        view_index);
   }
   if (groups.empty()) return vs::Status::OK();
 
@@ -296,27 +280,28 @@ vs::Status FeatureMatrix::RefineRows(
   State& state = *state_;
 
   obs::ScopedSpan refine_span("FeatureMatrix::RefineRows");
-  data::GroupByExecutorOptions executor_options;
-  executor_options.use_kernel = use_kernels_;
-  data::GroupByExecutor executor(table_, executor_options);
-  for (const auto& [key, members] : groups) {
+  VS_ASSIGN_OR_RETURN(const data::GroupByExecutor* executor,
+                      refs.Executor(use_kernels_));
+  for (const auto& [group, members] : groups) {
     std::vector<data::GroupBySpec> specs;
     specs.reserve(members.size());
-    for (size_t i : members) specs.push_back(views[i].ToGroupBySpec());
+    for (size_t i : members) specs.push_back(views()[i].ToGroupBySpec());
     VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> targets,
-                        executor.ExecuteBatch(specs, &imm_->query_selection));
-    VS_ASSIGN_OR_RETURN(std::vector<data::GroupByResult> references,
-                        executor.ExecuteBatch(specs, nullptr));
+                        executor->ExecuteBatch(specs, &imm_->query_selection));
+    VS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ReferenceStore::GroupReferences> references,
+        refs.References(group, shared_scan_, ReferenceStore::SampleId{},
+                        use_kernels_));
     for (size_t k = 0; k < members.size(); ++k) {
+      const size_t row = members[k];
       ViewMaterialization mat;
       mat.target = std::move(targets[k]);
-      mat.reference = std::move(references[k]);
+      mat.reference = references->Get(refs.SlotOf(row, shared_scan_).member);
       VS_ASSIGN_OR_RETURN(mat.target_dist,
                           stats::Normalize(mat.target.values));
       VS_ASSIGN_OR_RETURN(mat.reference_dist,
                           stats::Normalize(mat.reference.values));
       VS_ASSIGN_OR_RETURN(ml::Vector features, registry_->ComputeAll(mat));
-      const size_t row = members[k];
       for (size_t j = 0; j < features.size(); ++j) {
         state.raw(row, j) = features[j];
       }
@@ -330,10 +315,10 @@ vs::Status FeatureMatrix::RefineRows(
 }
 
 int64_t FeatureMatrix::RefineCostPerRow() const {
-  // One refinement scans the full table (reference) plus the query subset
-  // (target).
-  return static_cast<int64_t>(table_->num_rows() +
-                              imm_->query_selection.size());
+  // One refinement rescans the query subset (target); the full-data
+  // reference comes from the store.
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(imm_->query_selection.size()));
 }
 
 size_t FeatureMatrix::ApproxBytes() const {
@@ -341,7 +326,7 @@ size_t FeatureMatrix::ApproxBytes() const {
   size_t bytes = 2 * cells * sizeof(double);       // raw + normalized
   bytes += state_->exact.size() / 8 + 1;           // exactness bitmap
   bytes += imm_->query_selection.size() * sizeof(uint32_t);
-  for (const ViewSpec& view : imm_->views) {
+  for (const ViewSpec& view : views()) {
     bytes += sizeof(ViewSpec) + view.dimension.size() + view.measure.size();
   }
   return bytes;

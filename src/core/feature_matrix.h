@@ -12,6 +12,10 @@
 /// columns are min-max normalized to [0, 1] so that learned weights and
 /// simulated ideal utility functions operate on comparable scales.
 ///
+/// Every reference side (and α-sample) comes from a ReferenceStore
+/// (core/reference_store.h): a build scans only its query rows when the
+/// store already holds the references, and refining a row scans only D_Q.
+///
 /// Sharing and copy-on-write: a FeatureMatrix is a cheap handle over two
 /// internal blocks — an immutable part (view specs + query selection,
 /// fixed at build time) and a refinement state (raw/normalized values,
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/reference_store.h"
 #include "core/utility_features.h"
 #include "core/view.h"
 #include "data/table.h"
@@ -72,16 +77,21 @@ class FeatureMatrix {
   /// the rows of \p query_selection, reference views the whole table —
   /// both restricted to an α% sample when options.sample_rate < 1.
   ///
+  /// References and the α-sample are read through \p store, which must be
+  /// bound to \p table and to exactly \p views; the matrix keeps it for
+  /// RefineRows.  A null \p store builds over a private one.
+  ///
   /// \p table and \p registry are borrowed and must outlive the matrix.
   static vs::Result<FeatureMatrix> Build(
       const data::Table* table, std::vector<ViewSpec> views,
       data::SelectionVector query_selection,
       const UtilityFeatureRegistry* registry,
-      const FeatureMatrixOptions& options);
+      const FeatureMatrixOptions& options,
+      std::shared_ptr<ReferenceStore> store = nullptr);
 
-  size_t num_views() const { return imm_->views.size(); }
+  size_t num_views() const { return views().size(); }
   size_t num_features() const { return registry_->size(); }
-  const std::vector<ViewSpec>& views() const { return imm_->views; }
+  const std::vector<ViewSpec>& views() const { return imm_->store->views(); }
   const UtilityFeatureRegistry& registry() const { return *registry_; }
   const data::Table& table() const { return *table_; }
   const data::SelectionVector& query_selection() const {
@@ -105,22 +115,30 @@ class FeatureMatrix {
   size_t num_exact() const { return state_->num_exact; }
 
   /// True when every row is exact.
-  bool AllExact() const { return state_->num_exact == imm_->views.size(); }
+  bool AllExact() const { return state_->num_exact == num_views(); }
 
   /// Recomputes row \p view_index on the full data (no-op if already
   /// exact).  Normalization is invalidated.
   vs::Status RefineRow(size_t view_index);
 
   /// Batch refinement: recomputes every rough row in \p view_indices on
-  /// the full data, sharing one scan per (dimension, bin count) group —
-  /// the same SeeDB-style batching Build() uses.  Already-exact rows are
-  /// skipped.  Detaches a private state copy first when this handle
-  /// shares state with another (copy-on-write).
+  /// the full data.  Targets are rescanned over D_Q, one scan per
+  /// (dimension, bin count) group — the same SeeDB-style batching Build()
+  /// uses; full-data references come from the reference store, which
+  /// scans a group of D only the first time any matrix over it needs one.
+  /// Already-exact rows are skipped.  Detaches a private state copy first
+  /// when this handle shares state with another (copy-on-write).
   vs::Status RefineRows(const std::vector<size_t>& view_indices);
 
-  /// Approximate work units (rows scanned) one RefineRow costs; used to
-  /// charge deterministic Deadlines.
+  /// Approximate work units (rows scanned) one RefineRow costs: |D_Q|,
+  /// the target rescan (at least 1); used to charge deterministic
+  /// Deadlines.
   int64_t RefineCostPerRow() const;
+
+  /// The store this matrix reads references from (shared by every copy).
+  const std::shared_ptr<ReferenceStore>& reference_store() const {
+    return imm_->store;
+  }
 
   /// Approximate heap footprint of the shared blocks (raw + normalized
   /// values, exactness bitmap, view specs, query selection) — the unit of
@@ -139,7 +157,7 @@ class FeatureMatrix {
 
   /// Fixed at build time, shared by every copy, never detached.
   struct Immutable {
-    std::vector<ViewSpec> views;
+    std::shared_ptr<ReferenceStore> store;  ///< owns the view list
     data::SelectionVector query_selection;
   };
 

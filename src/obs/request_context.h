@@ -36,6 +36,7 @@
 /// Stage spans nest (a label span contains its wal append); records keep
 /// inclusive durations and emission order.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -78,18 +79,24 @@ class RequestContext {
   /// `X-Deadline-Ms`.  Subsystems below (admission, session manager,
   /// refinement) read the *remaining* budget; no deadline means infinite.
   /// @{
+  /// Budgets tick in whole microseconds (the X-Deadline-Ms resolution);
+  /// a positive budget below one tick is one tick, never "none".
   void set_deadline_ms(double ms) {
-    deadline_us_.store(static_cast<int64_t>(ms * 1000.0),
-                       std::memory_order_relaxed);
+    deadline_us_.store(
+        ms > 0.0 ? std::max<int64_t>(1, static_cast<int64_t>(ms * 1000.0))
+                 : 0,
+        std::memory_order_relaxed);
   }
   bool has_deadline() const {
     return deadline_us_.load(std::memory_order_relaxed) > 0;
   }
   /// Seconds left before the deadline; clamped at 0, +inf with none set.
   double remaining_seconds() const;
+  /// True once less than one whole tick is left: a sub-microsecond
+  /// remainder cannot be forwarded or spent, as at the router hop.
   bool deadline_expired() const {
     const int64_t d = deadline_us_.load(std::memory_order_relaxed);
-    return d > 0 && ElapsedMicros() >= d;
+    return d > 0 && ElapsedMicros() + 1 >= d;
   }
   /// @}
 

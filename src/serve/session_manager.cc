@@ -290,9 +290,11 @@ vs::Result<std::shared_ptr<const LoadedTable>> SessionManager::GetOrLoadTable(
   VS_ASSIGN_OR_RETURN(data::Table table, LoadTableFile(path));
   auto loaded = std::make_shared<LoadedTable>();
   VS_ASSIGN_OR_RETURN(
-      loaded->views,
+      std::vector<core::ViewSpec> views,
       core::EnumerateViews(table, core::ViewEnumerationOptions{}));
   loaded->table = std::move(table);
+  loaded->references = std::make_shared<core::ReferenceStore>(
+      &loaded->table, std::move(views));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(path, std::move(loaded));
   if (inserted) SessionMetrics::Get().tables_loaded->Increment();
@@ -342,14 +344,15 @@ SessionManager::BuildSession(const std::string& table_path,
   // the same path cannot alias a stale entry.
   const std::string cache_key = core::FeatureMatrixCacheKey(
       table_path + "#" + std::to_string(loaded->table.num_rows()),
-      selection, loaded->views, registry_, build_options);
+      selection, loaded->views(), registry_, build_options);
   VS_ASSIGN_OR_RETURN(
       std::shared_ptr<const core::FeatureMatrix> canonical,
       matrix_cache_.GetOrBuild(
           cache_key, [this, &loaded, &selection, &build_options]() {
-            return core::FeatureMatrix::Build(&loaded->table, loaded->views,
+            return core::FeatureMatrix::Build(&loaded->table, loaded->views(),
                                               selection, &registry_,
-                                              build_options);
+                                              build_options,
+                                              loaded->references);
           }));
 
   auto session = std::make_shared<Session>();
@@ -951,6 +954,7 @@ vs::Result<SessionInfo> SessionManager::ImportSession(
 }
 
 vs::Status SessionManager::Delete(const std::string& id) {
+  obs::StageTimer stage("session_manager.delete");
   std::string spill_file;
   bool durable_spill = false;
   {

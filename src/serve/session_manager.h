@@ -42,6 +42,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/feature_matrix.h"
+#include "core/reference_store.h"
 #include "core/seeker.h"
 #include "core/utility_features.h"
 #include "data/table.h"
@@ -110,7 +111,13 @@ struct SessionManagerOptions {
 /// \brief A table plus its enumerated views, shared across sessions.
 struct LoadedTable {
   data::Table table;
-  std::vector<core::ViewSpec> views;
+  /// Holds the enumerated views, and the reference side of every build
+  /// over this table; fills lazily on the first create, never at load.
+  std::shared_ptr<core::ReferenceStore> references;
+
+  const std::vector<core::ViewSpec>& views() const {
+    return references->views();
+  }
 };
 
 /// \brief Everything a client needs to know about a session.

@@ -263,6 +263,18 @@ TEST_F(RouterTest, CreatePlacesByRingAndStampsHeaders) {
   EXPECT_EQ(*echoed, "client-7");
 }
 
+TEST_F(RouterTest, RoutedCreateCarriesShardStages) {
+  StartCluster(2);
+  HttpResponse created = router_->Handle(Req("POST", "/sessions", "{\"k\":3}"));
+  ASSERT_EQ(created.status, 201) << created.body;
+  // The create's placement loop relays the shard's stages like every
+  // other forwarded request, so the slowest kind of request is explained.
+  const std::string* stages = Header(created, "X-Request-Stages");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_NE(stages->find("session_manager.create"), std::string::npos)
+      << *stages;
+}
+
 TEST_F(RouterTest, FullProtocolFlowsThroughOneShard) {
   StartCluster(3);
   const std::string id = CreateSession();

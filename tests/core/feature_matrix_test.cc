@@ -172,10 +172,11 @@ TEST(FeatureMatrixTest, RefineRowOutOfRange) {
 }
 
 TEST(FeatureMatrixTest, RefineCostReflectsTableSize) {
+  // A refinement rescans only the query subset; the full-table reference
+  // comes from the reference store.
   auto world = testutil::MakeMiniWorld();
   EXPECT_EQ(world.matrix->RefineCostPerRow(),
-            static_cast<int64_t>(world.table->num_rows() +
-                                 world.query.size()));
+            static_cast<int64_t>(world.query.size()));
 }
 
 TEST(FeatureMatrixTest, ParallelBuildMatchesSequential) {

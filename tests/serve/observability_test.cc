@@ -172,6 +172,24 @@ TEST_F(ObservabilityTest, KnownRequestIdTraceableEndToEnd) {
   }
 }
 
+TEST_F(ObservabilityTest, DeleteIsAttributedToTheSessionManager) {
+  StartStack();
+  HttpClient client = Client();
+  auto created = client.Request("POST", "/sessions", "{\"k\":3}");
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(created->status, 201) << created->body;
+  const std::string id = JsonValue::Parse(created->body)->GetString("id", "");
+  // The durable files are removed before the ack; that time belongs to a
+  // named stage, not to bare http.dispatch.
+  auto deleted = client.Request("DELETE", "/sessions/" + id);
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_EQ(deleted->status, 200) << deleted->body;
+  const std::string* stages = deleted->FindHeader("x-request-stages");
+  ASSERT_NE(stages, nullptr);
+  EXPECT_NE(stages->find("session_manager.delete="), std::string::npos)
+      << *stages;
+}
+
 TEST_F(ObservabilityTest, ErrorResponsesEchoTheRequestId) {
   StartStack();
   HttpClient client = Client();

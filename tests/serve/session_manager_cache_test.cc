@@ -3,12 +3,15 @@
 /// canonical matrix, restore is served from the cache, and per-session
 /// refinement stays isolated (COW) from other live sessions.
 
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
 #include "data/io.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/session_manager.h"
 
 namespace vs::serve {
@@ -67,6 +70,40 @@ TEST(SessionManagerCacheTest, DistinctSelectionsGetDistinctEntries) {
   EXPECT_EQ(manager.cached_matrices(), 2u);
   EXPECT_EQ(manager.matrix_cache().stats().misses, 2u);
   EXPECT_EQ(manager.matrix_cache().stats().hits, 0u);
+}
+
+TEST(SessionManagerCacheTest, DifferentFiltersShareOneReferenceFill) {
+  obs::Counter* fills =
+      obs::MetricsRegistry::Default().GetCounter("reference_store.fills");
+  SessionManager manager(CacheOptions(), CacheTestTablePath());
+  const uint64_t before_load = fills->value();
+  ASSERT_TRUE(manager.PreloadDefaultTable().ok());
+  EXPECT_EQ(fills->value(), before_load);  // the store fills lazily
+
+  obs::TraceCollector& trace = obs::TraceCollector::Default();
+  trace.Clear();
+  ASSERT_TRUE(manager.Create(Spec("time_in_hospital >= 6")).ok());
+  EXPECT_GT(fills->value(), before_load);
+  // The first create paid the fill, and its trace shows it.
+  std::map<uint64_t, obs::TraceEvent> by_id;
+  for (const obs::TraceEvent& event : trace.Snapshot()) {
+    by_id[event.id] = event;
+  }
+  bool fill_under_create = false;
+  for (const auto& [id, event] : by_id) {
+    if (event.name != "reference_store.fill") continue;
+    for (uint64_t up = event.parent_id; up != 0 && by_id.count(up) > 0;
+         up = by_id[up].parent_id) {
+      if (by_id[up].name == "serve.session_create") fill_under_create = true;
+    }
+  }
+  EXPECT_TRUE(fill_under_create);
+
+  // A different filter is a matrix-cache miss, yet scans no reference.
+  const uint64_t after_first = fills->value();
+  ASSERT_TRUE(manager.Create(Spec("time_in_hospital < 6")).ok());
+  EXPECT_EQ(manager.matrix_cache().stats().misses, 2u);
+  EXPECT_EQ(fills->value(), after_first);
 }
 
 TEST(SessionManagerCacheTest, LabelingOneSessionDoesNotPerturbAnother) {

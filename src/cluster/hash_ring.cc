@@ -2,31 +2,25 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace vs::cluster {
 
-std::uint64_t HashKey64(std::string_view key) {
-  // FNV-1a, 64-bit offset basis / prime.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
 
-/// FNV-1a alone scatters short, similar keys ("s0#17", "s0#18") badly —
-/// measured per-shard load can be 2x fair share at 128 virtual nodes.
+/// The ring position of a key or ring point: FNV-1a (common/hash.h), so
+/// placement agrees between router, tests and any router replica, then a
+/// finalizer.  FNV-1a alone scatters short, similar keys ("s0#17",
+/// "s0#18") badly — measured per-shard load can be 2x fair share at 128
+/// virtual nodes.
 /// A 64-bit finalizer (Murmur3's fmix64: fixed xor-shift-multiply, no
 /// data-dependent state) avalanches every input bit across the word, and
 /// the balance test tightens to the promised 20%.  Applied identically
 /// to ring points and lookup keys, so placement stays a pure,
 /// platform-stable function.
 std::uint64_t RingPosition(std::string_view key) {
-  std::uint64_t h = HashKey64(key);
+  std::uint64_t h = Fnv1a64(key.data(), key.size());
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;

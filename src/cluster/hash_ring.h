@@ -34,12 +34,6 @@
 
 namespace vs::cluster {
 
-/// FNV-1a 64-bit.  Stable across platforms/builds (placement must agree
-/// between router, tests and any future router replica), cheap, and good
-/// enough dispersion for ring points once each shard contributes many
-/// virtual nodes.
-std::uint64_t HashKey64(std::string_view key);
-
 struct HashRingOptions {
   /// Ring points per shard.  More points = better balance (stddev of
   /// arc share shrinks like 1/sqrt(virtual_nodes)) at the cost of a
@@ -58,8 +52,8 @@ class HashRing {
   /// Removes a shard and its points.  Unknown names are rejected.
   Status RemoveShard(std::string_view name);
 
-  /// Shard owning `key`: the first ring point clockwise from
-  /// HashKey64(key), wrapping at the top.  FailedPrecondition when the
+  /// Shard owning `key`: the first ring point clockwise from the key's
+  /// ring position, wrapping at the top.  FailedPrecondition when the
   /// ring is empty.
   Result<std::string> ShardFor(std::string_view key) const;
 

@@ -11,6 +11,14 @@
 
 namespace vs {
 
+/// Microseconds on the monotonic clock since an arbitrary fixed origin;
+/// differences between two readings are elapsed time.
+inline int64_t MonotonicMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// \brief Measures elapsed wall-clock time from construction or Restart().
 class Stopwatch {
  public:

@@ -96,7 +96,7 @@ vs::Result<FeatureMatrix> FeatureMatrix::Build(
         "reference store is bound to another table or view list");
   }
 
-  obs::ScopedSpan build_span("FeatureMatrix::Build");
+  obs::Span build_span("core.build");
   const BuildMetrics& metrics = BuildMetrics::Get();
   const bool observe = obs::MetricsRegistry::Default().enabled();
   Stopwatch build_clock;
@@ -279,7 +279,7 @@ vs::Status FeatureMatrix::RefineRows(
   DetachStateIfShared();
   State& state = *state_;
 
-  obs::ScopedSpan refine_span("FeatureMatrix::RefineRows");
+  obs::Span refine_span("core.refine_rows");
   VS_ASSIGN_OR_RETURN(const data::GroupByExecutor* executor,
                       refs.Executor(use_kernels_));
   for (const auto& [group, members] : groups) {

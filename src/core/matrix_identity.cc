@@ -3,23 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace vs::core {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t Mix(uint64_t hash, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 uint64_t MixU64(uint64_t hash, uint64_t v) {
   // Fixed little-endian byte order so keys match across platforms.
@@ -27,14 +16,14 @@ uint64_t MixU64(uint64_t hash, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     bytes[i] = static_cast<unsigned char>(v >> (8 * i));
   }
-  return Mix(hash, bytes, sizeof(bytes));
+  return Fnv1a64(bytes, sizeof(bytes), hash);
 }
 
 uint64_t MixString(uint64_t hash, std::string_view s) {
   // Length prefix keeps concatenated fields unambiguous ("ab"+"c" vs
   // "a"+"bc").
   hash = MixU64(hash, s.size());
-  return Mix(hash, s.data(), s.size());
+  return Fnv1a64(s.data(), s.size(), hash);
 }
 
 uint64_t MixDouble(uint64_t hash, double v) {
@@ -43,12 +32,8 @@ uint64_t MixDouble(uint64_t hash, double v) {
 
 }  // namespace
 
-uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
-  return Mix(kFnvOffset ^ seed, data, size);
-}
-
 uint64_t HashSelection(const data::SelectionVector& selection) {
-  uint64_t hash = MixU64(kFnvOffset, selection.size());
+  uint64_t hash = MixU64(kFnv1a64Offset, selection.size());
   for (uint32_t row : selection) {
     hash = MixU64(hash, row);
   }
@@ -56,7 +41,7 @@ uint64_t HashSelection(const data::SelectionVector& selection) {
 }
 
 uint64_t HashViewSpecs(const std::vector<ViewSpec>& views) {
-  uint64_t hash = MixU64(kFnvOffset, views.size());
+  uint64_t hash = MixU64(kFnv1a64Offset, views.size());
   for (const ViewSpec& view : views) {
     hash = MixString(hash, view.dimension);
     hash = MixString(hash, view.measure);
@@ -68,7 +53,7 @@ uint64_t HashViewSpecs(const std::vector<ViewSpec>& views) {
 }
 
 uint64_t HashRegistry(const UtilityFeatureRegistry& registry) {
-  uint64_t hash = MixU64(kFnvOffset, registry.size());
+  uint64_t hash = MixU64(kFnv1a64Offset, registry.size());
   for (const std::string& name : registry.names()) {
     hash = MixString(hash, name);
   }
@@ -76,7 +61,7 @@ uint64_t HashRegistry(const UtilityFeatureRegistry& registry) {
 }
 
 uint64_t HashBuildOptions(const FeatureMatrixOptions& options) {
-  uint64_t hash = kFnvOffset;
+  uint64_t hash = kFnv1a64Offset;
   hash = MixDouble(hash, options.sample_rate);
   hash = MixU64(hash, options.seed);
   hash = MixU64(hash, options.shared_scan ? 1 : 0);
@@ -91,7 +76,7 @@ std::string FeatureMatrixCacheKey(std::string_view table_id,
                                   const std::vector<ViewSpec>& views,
                                   const UtilityFeatureRegistry& registry,
                                   const FeatureMatrixOptions& options) {
-  const uint64_t table_hash = MixString(kFnvOffset, table_id);
+  const uint64_t table_hash = MixString(kFnv1a64Offset, table_id);
   return StrFormat(
       "%016llx-%016llx-%016llx-%016llx-%016llx",
       static_cast<unsigned long long>(table_hash),

@@ -15,8 +15,9 @@
 /// can share one.  This module turns those inputs into a stable string
 /// key:
 ///
-///   * hashes are FNV-1a 64-bit over explicit byte encodings — no
-///     std::hash, so keys are stable across platforms and runs;
+///   * hashes are FNV-1a 64-bit (common/hash.h) over explicit byte
+///     encodings — no std::hash, so keys are stable across platforms and
+///     runs;
 ///   * the *selection content* is hashed, not the filter text: two
 ///     syntactically different filters selecting the same rows share a
 ///     key, and the same text over a changed table does not;
@@ -35,10 +36,6 @@
 #include "data/table.h"
 
 namespace vs::core {
-
-/// FNV-1a 64-bit over arbitrary bytes (the shared primitive; exposed for
-/// tests and for callers hashing auxiliary identity, e.g. table ids).
-uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed = 0);
 
 /// Order-sensitive hash of a selection vector's row ids.
 uint64_t HashSelection(const data::SelectionVector& selection);

@@ -5,7 +5,6 @@
 #include "common/random.h"
 #include "data/sampler.h"
 #include "obs/metrics.h"
-#include "obs/request_context.h"
 #include "obs/trace.h"
 #include "testing/fault_injection.h"
 
@@ -149,7 +148,7 @@ ReferenceStore::Sample(double rate, uint64_t seed) {
   auto sample = samples_.GetOrFill(
       {rate, seed},
       [this, rate, seed]() -> vs::Result<data::SelectionVector> {
-        obs::ScopedSpan span("reference_store.sample");
+        obs::Span span("reference_store.sample");
         vs::Rng rng(seed);
         return data::BernoulliSample(table_->num_rows(), rate, &rng);
       },
@@ -173,8 +172,7 @@ ReferenceStore::References(size_t group, bool shared_scan, SampleId sample,
   auto refs = references_.GetOrFill(
       RefKey{group, shared_scan, sample, use_kernel},
       [&]() -> vs::Result<GroupReferences> {
-        obs::ScopedSpan span("reference_store.fill");
-        obs::StageTimer stage("reference_store.fill");
+        obs::Span span("reference_store.fill");
         if (VS_FAULT("reference_store.fill_fail")) {
           return vs::Status::Internal("injected reference fill failure");
         }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/hash.h"
 #include "testing/fault_injection.h"
 
 namespace vs::data {
@@ -218,13 +219,12 @@ void AccumulateMeasure(const TypedMeasure& measure, const int32_t* bins,
 // ---------------------------------------------------------------------------
 
 uint64_t Fnv1aBin(int32_t bin) {
-  uint64_t h = 1469598103934665603ULL;
-  auto v = static_cast<uint32_t>(bin);
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  const auto v = static_cast<uint32_t>(bin);
+  const unsigned char bytes[4] = {
+      static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
+      static_cast<unsigned char>(v >> 16),
+      static_cast<unsigned char>(v >> 24)};
+  return Fnv1a64(bytes, sizeof(bytes), kFnv1a64LegacySeed);
 }
 
 /// Maps bin ids to dense slot indices; slots are appended to every

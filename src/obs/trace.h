@@ -2,17 +2,28 @@
 #define VS_OBS_TRACE_H_
 
 /// \file trace.h
-/// \brief RAII trace spans over a bounded ring buffer, exportable as a
-/// Chrome trace (open chrome://tracing or https://ui.perfetto.dev and load
-/// the JSON dump).
+/// \brief The one span primitive, obs::Span, and the bounded ring of
+/// completed spans it records into, exportable as a Chrome trace (open
+/// chrome://tracing or https://ui.perfetto.dev and load the JSON dump).
 ///
-/// A ScopedSpan measures one named region with Stopwatch; on destruction it
-/// records (name, start, duration, thread, parent) into a TraceCollector.
-/// Parenthood is tracked per thread: spans nested on the same thread link
-/// to the innermost live span.  When the ring buffer is full the oldest
-/// events are overwritten and counted as dropped — tracing is bounded
-/// memory by construction.  A disabled collector makes ScopedSpan cost one
-/// relaxed atomic load and nothing else (no clock reads).
+/// A Span times one named region: it reads the clock once at entry and
+/// once at exit.  On exit it always records a TraceEvent (name, id,
+/// parent, start, duration, thread, and the installed request's id) into
+/// TraceCollector::Default().  Parenthood is tracked per thread: spans
+/// nested on the same thread link to the innermost live span.  When a
+/// RequestContext is installed on the thread (request_context.h), the
+/// same span is also one of the request's stages: it appends a
+/// StageRecord, publishes itself as the request's current stage for
+/// /statusz while open, and observes `serve.stage_seconds.<name>`.  So the
+/// ring, X-Request-Stages, wide events and the stage histograms all see
+/// one region under one name with one duration.
+///
+/// When the ring is full the oldest events are overwritten and counted
+/// as dropped — tracing is bounded memory by construction.
+///
+/// Span taxonomy (docs/ARCHITECTURE.md "Trace spans"): dot-separated,
+/// subsystem-prefixed — http.dispatch, queue, session_manager.*,
+/// fmcache.*, durability.*, reference_store.*, core.*.
 
 #include <atomic>
 #include <cstdint>
@@ -24,9 +35,12 @@
 
 namespace vs::obs {
 
+class RequestContext;
+
 /// \brief One completed span.
 struct TraceEvent {
   std::string name;
+  std::string request_id;   ///< installed request's id; "" outside one
   int64_t start_us = 0;     ///< relative to the collector's epoch
   int64_t duration_us = 0;
   uint32_t thread_id = 0;   ///< stable small id per OS thread
@@ -43,19 +57,15 @@ class TraceCollector {
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
-  /// The process-wide collector the engine's built-in spans record into.
+  /// The process-wide collector every Span records into.
   static TraceCollector& Default();
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Appends one completed event (called by ScopedSpan).
+  /// Appends one completed event (called by Span).
   void Record(TraceEvent event);
 
-  /// Microseconds since the collector's epoch (its construction).
-  int64_t NowMicros() const { return epoch_.ElapsedMicros(); }
+  /// MonotonicMicros() at the collector's construction; event start
+  /// times are relative to it.
+  int64_t epoch_us() const { return epoch_us_; }
 
   /// Next span id (unique, 1-based).
   uint64_t NextSpanId() {
@@ -80,37 +90,37 @@ class TraceCollector {
 
  private:
   const size_t capacity_;
-  std::atomic<bool> enabled_{true};
+  const int64_t epoch_us_ = MonotonicMicros();
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> dropped_{0};
-  Stopwatch epoch_;
 
   mutable std::mutex mu_;
   std::vector<TraceEvent> ring_;  ///< grows to capacity_, then wraps
   size_t head_ = 0;               ///< insertion slot once wrapped
 };
 
-/// \brief RAII span: times the enclosing scope and records it on exit.
-///
-/// \p name must outlive the span (string literals in practice).
-class ScopedSpan {
+/// \brief RAII span: times the enclosing scope and records it on exit
+/// (see the file comment).  \p name must be a string literal: it is kept
+/// by pointer, published cross-thread as the current stage, and used as
+/// the stage histogram's key.
+class Span {
  public:
-  explicit ScopedSpan(const char* name,
-                      TraceCollector* collector = &TraceCollector::Default());
-  ~ScopedSpan();
+  explicit Span(const char* name);
+  ~Span();
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
-  /// Id of this span (0 when the collector was disabled at entry).
+  /// Id of this span in the collector (unique, 1-based).
   uint64_t id() const { return id_; }
 
  private:
   const char* name_;
-  TraceCollector* collector_;
-  int64_t start_us_ = 0;
-  uint64_t id_ = 0;      ///< 0 = inactive (collector disabled at entry)
-  uint64_t parent_ = 0;
+  RequestContext* context_;   ///< installed at entry; nullptr = none
+  const char* parent_stage_;  ///< restored on exit (context only)
+  uint64_t id_;
+  uint64_t parent_;
+  int64_t start_us_;          ///< MonotonicMicros() at entry
 };
 
 /// Stable small id of the calling thread (used for TraceEvent::thread_id).

@@ -251,7 +251,7 @@ void ServeApp::AddRoute(const char* method, const char* pattern,
           // Charged to the "queue" stage: this is where an overloaded
           // request dies, and the stage shows up in /statusz, wide
           // events and X-Request-Stages.
-          obs::StageTimer queue_stage("queue");
+          obs::Span queue_span("queue");
           decision = admission_.Acquire(name, admission_class);
           if (!decision.admitted) {
             HttpResponse shed = ErrorResponseFor(
@@ -390,7 +390,6 @@ ServeApp::ServeApp(SessionManager* manager, ServeAppOptions options)
 }
 
 HttpResponse ServeApp::Handle(const HttpRequest& request) {
-  obs::ScopedSpan span("serve.request");
   const uint64_t seq =
       request_sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
 
@@ -418,7 +417,7 @@ HttpResponse ServeApp::Handle(const HttpRequest& request) {
   HttpResponse response;
   {
     obs::ScopedRequestContext scoped(context.get());
-    obs::StageTimer dispatch_stage("http.dispatch");
+    obs::Span dispatch_span("http.dispatch");
     response = router_.Dispatch(request, &endpoint);
   }
   if (endpoint.empty()) endpoint = "unmatched";

@@ -286,7 +286,7 @@ vs::Result<std::shared_ptr<const LoadedTable>> SessionManager::GetOrLoadTable(
   }
   // Load outside the registry lock; a concurrent duplicate load is
   // harmless (first insertion wins, the loser's copy is dropped).
-  obs::ScopedSpan span("serve.table_load");
+  obs::Span span("session_manager.table_load");
   VS_ASSIGN_OR_RETURN(data::Table table, LoadTableFile(path));
   auto loaded = std::make_shared<LoadedTable>();
   VS_ASSIGN_OR_RETURN(
@@ -391,7 +391,7 @@ void SessionManager::NoteQualityLocked(Session& session) const {
 
 void SessionManager::RefineSliceLocked(Session& session, size_t max_rows) {
   if (max_rows == 0 || session.matrix->AllExact()) return;
-  obs::StageTimer stage("session_manager.refine");
+  obs::Span span("session_manager.refine");
   core::IncrementalRefiner refiner(session.matrix.get());
   // Priority = the estimator's current predicted utility (§3.3); before
   // any labels there is no estimator, so rows refine in index order.
@@ -433,8 +433,7 @@ SessionInfo SessionManager::InfoLocked(Session& session) const {
 }
 
 vs::Result<SessionInfo> SessionManager::Create(const CreateSpec& spec) {
-  obs::ScopedSpan span("serve.session_create");
-  obs::StageTimer stage("session_manager.create");
+  obs::Span span("session_manager.create");
   Stopwatch watch;
   const SessionMetrics& m = SessionMetrics::Get();
   const std::string path =
@@ -560,8 +559,7 @@ vs::Result<SessionManager::LockedSession> SessionManager::AcquireLocked(
 
 vs::Result<std::shared_ptr<SessionManager::Session>> SessionManager::Restore(
     const std::string& id, const SpilledSession& spill) {
-  obs::ScopedSpan span("serve.session_restore");
-  obs::StageTimer stage("session_manager.restore");
+  obs::Span span("session_manager.restore");
   if (spill.durable) return RestoreDurable(id);
   VS_ASSIGN_OR_RETURN(std::string text, ReadFileToString(spill.file_path));
   if (VS_FAULT("session.spill_corrupt")) {
@@ -772,7 +770,7 @@ DurabilityStats SessionManager::durability_stats() const {
 }
 
 vs::Result<NextBatch> SessionManager::Next(const std::string& id) {
-  obs::StageTimer stage("session_manager.next");
+  obs::Span span("session_manager.next");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   // Heal a degraded session between prompts (deadline-bounded) unless
@@ -796,7 +794,7 @@ vs::Result<NextBatch> SessionManager::Next(const std::string& id) {
 
 vs::Result<size_t> SessionManager::Label(const std::string& id, size_t view,
                                          double label) {
-  obs::StageTimer stage("session_manager.label");
+  obs::Span span("session_manager.label");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   VS_RETURN_IF_ERROR(session->seeker->SubmitLabel(view, label));
@@ -827,7 +825,7 @@ vs::Result<size_t> SessionManager::Label(const std::string& id, size_t view,
 
 vs::Result<TopKResult> SessionManager::TopK(const std::string& id,
                                             double lambda) {
-  obs::StageTimer stage("session_manager.topk");
+  obs::Span span("session_manager.topk");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   obs::RequestContext* context = obs::CurrentRequestContext();
@@ -879,7 +877,7 @@ vs::Result<LabeledViews> SessionManager::Labels(const std::string& id) {
 }
 
 vs::Result<std::string> SessionManager::ExportSession(const std::string& id) {
-  obs::StageTimer stage("session_manager.export");
+  obs::Span span("session_manager.export");
   VS_ASSIGN_OR_RETURN(LockedSession locked, AcquireLocked(id));
   const std::shared_ptr<Session>& session = locked.session;
   VS_ASSIGN_OR_RETURN(std::string envelope, EnvelopeLocked(*session));
@@ -897,7 +895,7 @@ vs::Result<std::string> SessionManager::ExportSession(const std::string& id) {
 
 vs::Result<SessionInfo> SessionManager::ImportSession(
     const std::string& id, const std::string& envelope) {
-  obs::StageTimer stage("session_manager.import");
+  obs::Span span("session_manager.import");
   const SessionMetrics& m = SessionMetrics::Get();
   if (!ValidSessionId(id)) {
     return vs::Status::InvalidArgument("invalid session id: " + id);
@@ -954,7 +952,7 @@ vs::Result<SessionInfo> SessionManager::ImportSession(
 }
 
 vs::Status SessionManager::Delete(const std::string& id) {
-  obs::StageTimer stage("session_manager.delete");
+  obs::Span span("session_manager.delete");
   std::string spill_file;
   bool durable_spill = false;
   {
@@ -984,9 +982,10 @@ vs::Status SessionManager::Delete(const std::string& id) {
 }
 
 size_t SessionManager::EvictIdleOlderThan(double idle_seconds) {
-  // A no-op on the reaper thread (no request context); records when a
-  // request-path caller (tests, admin endpoints) drives eviction.
-  obs::StageTimer stage("session_manager.evict");
+  // Only a trace-ring event on the reaper thread (no request context); a
+  // stage too when a request-path caller (tests, admin endpoints) drives
+  // eviction.
+  obs::Span span("session_manager.evict");
   const int64_t cutoff =
       NowMicros() - static_cast<int64_t>(idle_seconds * 1e6);
   const SessionMetrics& m = SessionMetrics::Get();

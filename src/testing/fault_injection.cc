@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace vs::fault {
@@ -34,16 +35,6 @@ struct FaultMetrics {
   }
 };
 
-/// FNV-1a over the point name: stable across platforms, unlike std::hash.
-uint64_t HashPointName(std::string_view point) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : point) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// splitmix64 finalizer: turns (seed, point, hit) into uniform bits.
 uint64_t Mix(uint64_t x) {
   x ^= x >> 30;
@@ -60,7 +51,7 @@ bool FaultInjector::Decide(uint64_t seed, std::string_view point,
                            uint64_t hit_index, double probability) {
   if (probability <= 0.0) return false;
   if (probability >= 1.0) return true;
-  uint64_t x = HashPointName(point);
+  uint64_t x = Fnv1a64(point.data(), point.size(), kFnv1a64LegacySeed);
   x ^= seed * 0x9E3779B97F4A7C15ULL;
   x = Mix(x ^ (hit_index * 0xD6E8FEB86659FD93ULL));
   // Top 53 bits -> uniform double in [0, 1).

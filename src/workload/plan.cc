@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
 
@@ -233,12 +234,7 @@ std::string FormatLedger(const WorkloadPlan& plan) {
 }
 
 uint64_t LedgerDigest(const std::string& ledger) {
-  uint64_t digest = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : ledger) {
-    digest ^= static_cast<uint8_t>(c);
-    digest *= 1099511628211ULL;
-  }
-  return digest;
+  return Fnv1a64(ledger.data(), ledger.size(), kFnv1a64LegacySeed);
 }
 
 }  // namespace vs::workload

@@ -7,12 +7,6 @@
 namespace vs::core {
 namespace {
 
-TEST(MatrixIdentityTest, Fnv1a64KnownVectors) {
-  // Published FNV-1a 64-bit test vectors (offset basis and "a").
-  EXPECT_EQ(Fnv1a64(nullptr, 0), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
-}
-
 TEST(MatrixIdentityTest, KeyIsDeterministicAndWellFormed) {
   auto world = testutil::MakeMiniWorld();
   FeatureMatrixOptions options;

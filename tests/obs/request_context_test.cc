@@ -6,6 +6,9 @@
 #include <memory>
 #include <thread>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace vs::obs {
 namespace {
 
@@ -13,11 +16,15 @@ TEST(RequestContext, NoContextInstalledByDefault) {
   EXPECT_EQ(CurrentRequestContext(), nullptr);
 }
 
-TEST(RequestContext, StageTimerIsInertWithoutContext) {
-  // The disabled-path contract: no context installed, no crash, nothing
-  // recorded anywhere a later context could see.
-  { StageTimer timer("session_manager.label"); }
+TEST(RequestContext, SpanWithoutContextReachesOnlyTheRing) {
+  TraceCollector& collector = TraceCollector::Default();
+  collector.Clear();
+  { Span span("session_manager.label"); }
   EXPECT_EQ(CurrentRequestContext(), nullptr);
+  const std::vector<TraceEvent> events = collector.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "session_manager.label");
+  EXPECT_EQ(events[0].request_id, "");
 }
 
 TEST(RequestContext, ScopedInstallRestoresPrevious) {
@@ -43,11 +50,13 @@ TEST(RequestContext, ContextIsThreadLocal) {
   other.join();
 }
 
-TEST(RequestContext, StageTimerRecordsIntoCurrentContext) {
-  RequestContext context("id", "POST", "/sessions");
+TEST(RequestContext, SpanRecordsIntoCurrentContextAndTheRing) {
+  TraceCollector& collector = TraceCollector::Default();
+  collector.Clear();
+  RequestContext context("id-1", "POST", "/sessions");
   {
     ScopedRequestContext scoped(&context);
-    StageTimer timer("http.dispatch");
+    Span span("http.dispatch");
     EXPECT_STREQ(context.current_stage(), "http.dispatch");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -57,15 +66,31 @@ TEST(RequestContext, StageTimerRecordsIntoCurrentContext) {
   EXPECT_STREQ(stages[0].stage, "http.dispatch");
   EXPECT_GE(stages[0].start_us, 0);
   EXPECT_GT(stages[0].duration_us, 0);
+  // The same region, once, in the ring: tagged with the request id and
+  // timed by the same two clock reads.
+  const std::vector<TraceEvent> events = collector.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "http.dispatch");
+  EXPECT_EQ(events[0].request_id, "id-1");
+  EXPECT_EQ(events[0].duration_us, stages[0].duration_us);
+  // And in the stage's process-wide histogram.
+  const MetricsSnapshot metrics = MetricsRegistry::Default().SnapshotAll();
+  bool observed = false;
+  for (const auto& histogram : metrics.histograms) {
+    if (histogram.name == "serve.stage_seconds.http.dispatch") {
+      observed = histogram.count > 0;
+    }
+  }
+  EXPECT_TRUE(observed);
 }
 
 TEST(RequestContext, NestedStagesRestoreParentAndRecordBoth) {
   RequestContext context("id", "POST", "/sessions/s/label");
   {
     ScopedRequestContext scoped(&context);
-    StageTimer outer("session_manager.label");
+    Span outer("session_manager.label");
     {
-      StageTimer inner("durability.wal_append");
+      Span inner("durability.wal_append");
       EXPECT_STREQ(context.current_stage(), "durability.wal_append");
     }
     // The parent stage is current again once the nested span closes.

@@ -51,13 +51,21 @@ TEST(TraceCollector, ClearResetsRetainedEvents) {
   EXPECT_TRUE(collector.Snapshot().empty());
 }
 
-TEST(ScopedSpan, RecordsNestedParentage) {
-  TraceCollector collector(16);
+/// Every Span records into the process-wide collector; each test starts
+/// it empty.
+TraceCollector& ClearedDefault() {
+  TraceCollector& collector = TraceCollector::Default();
+  collector.Clear();
+  return collector;
+}
+
+TEST(Span, RecordsNestedParentage) {
+  TraceCollector& collector = ClearedDefault();
   {
-    ScopedSpan outer("outer", &collector);
+    Span outer("outer");
     ASSERT_NE(outer.id(), 0u);
     {
-      ScopedSpan inner("inner", &collector);
+      Span inner("inner");
       EXPECT_NE(inner.id(), outer.id());
     }
   }
@@ -69,14 +77,17 @@ TEST(ScopedSpan, RecordsNestedParentage) {
   EXPECT_EQ(events[0].parent_id, events[1].id);
   EXPECT_EQ(events[1].parent_id, 0u);
   EXPECT_GE(events[1].duration_us, events[0].duration_us);
+  EXPECT_GE(events[0].start_us, events[1].start_us);
+  // Outside a request the events carry no request id.
+  EXPECT_EQ(events[0].request_id, "");
 }
 
-TEST(ScopedSpan, SiblingsShareTheParent) {
-  TraceCollector collector(16);
+TEST(Span, SiblingsShareTheParent) {
+  TraceCollector& collector = ClearedDefault();
   {
-    ScopedSpan outer("outer", &collector);
-    { ScopedSpan a("a", &collector); }
-    { ScopedSpan b("b", &collector); }
+    Span outer("outer");
+    { Span a("a"); }
+    { Span b("b"); }
   }
   const auto events = collector.Snapshot();
   ASSERT_EQ(events.size(), 3u);
@@ -86,22 +97,10 @@ TEST(ScopedSpan, SiblingsShareTheParent) {
   EXPECT_EQ(events[1].parent_id, events[2].id);
 }
 
-TEST(ScopedSpan, DisabledCollectorRecordsNothing) {
-  TraceCollector collector(16);
-  collector.set_enabled(false);
-  {
-    ScopedSpan span("ignored", &collector);
-    EXPECT_EQ(span.id(), 0u);
-  }
-  EXPECT_EQ(collector.size(), 0u);
-}
-
-TEST(ScopedSpan, ThreadsGetDistinctThreadIds) {
-  TraceCollector collector(16);
-  { ScopedSpan span("main-thread", &collector); }
-  std::thread other([&collector] {
-    ScopedSpan span("other-thread", &collector);
-  });
+TEST(Span, ThreadsGetDistinctThreadIds) {
+  TraceCollector& collector = ClearedDefault();
+  { Span span("main-thread"); }
+  std::thread other([] { Span span("other-thread"); });
   other.join();
   const auto events = collector.Snapshot();
   ASSERT_EQ(events.size(), 2u);
@@ -111,10 +110,10 @@ TEST(ScopedSpan, ThreadsGetDistinctThreadIds) {
 }
 
 TEST(ChromeTrace, JsonContainsCompleteEvents) {
-  TraceCollector collector(16);
+  TraceCollector& collector = ClearedDefault();
   {
-    ScopedSpan outer("Build", &collector);
-    { ScopedSpan inner("Scan", &collector); }
+    Span outer("Build");
+    { Span inner("Scan"); }
   }
   const std::string json = collector.ToChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos) << json;
@@ -130,15 +129,26 @@ TEST(ChromeTrace, JsonContainsCompleteEvents) {
   EXPECT_EQ(json.back(), '}');
 }
 
+TEST(ChromeTrace, JsonCarriesTheRequestId) {
+  TraceCollector collector(4);
+  TraceEvent event = MakeEvent("http.dispatch", 1);
+  event.request_id = "req-7";
+  collector.Record(event);
+  const std::string json = collector.ToChromeTraceJson();
+  EXPECT_NE(json.find("\"request_id\":\"req-7\""), std::string::npos)
+      << json;
+}
+
 TEST(ChromeTrace, ConcurrentSpansAllLand) {
-  TraceCollector collector(4096);
+  TraceCollector& collector = ClearedDefault();
   constexpr int kThreads = 4;
   constexpr int kSpans = 200;
+  ASSERT_GE(collector.capacity(), static_cast<size_t>(kThreads) * kSpans);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&collector] {
+    threads.emplace_back([] {
       for (int i = 0; i < kSpans; ++i) {
-        ScopedSpan span("work", &collector);
+        Span span("work");
       }
     });
   }

@@ -4,6 +4,8 @@
 /// fault-injected stall — in the /statusz in-flight table.
 
 #include <chrono>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "data/generator.h"
 #include "data/io.h"
 #include "obs/events.h"
+#include "obs/trace.h"
 #include "serve/app.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -172,6 +175,106 @@ TEST_F(ObservabilityTest, KnownRequestIdTraceableEndToEnd) {
   }
 }
 
+/// name -> micros of an X-Request-Stages value ("a=12;b=34").
+std::map<std::string, int64_t> ParseStages(const std::string& header) {
+  std::map<std::string, int64_t> out;
+  size_t pos = 0;
+  while (pos < header.size()) {
+    size_t end = header.find(';', pos);
+    if (end == std::string::npos) end = header.size();
+    const size_t eq = header.find('=', pos);
+    if (eq < end) {
+      out[header.substr(pos, eq - pos)] =
+          std::atoll(header.substr(eq + 1, end - eq - 1).c_str());
+    }
+    pos = end + 1;
+  }
+  return out;
+}
+
+/// Checks that the trace ring's events tagged \p request_id are exactly
+/// the request's stages: recorded on one thread, under the names of
+/// \p stages_header with the same total micros per name, one event per
+/// stage record (the wide event's stage_count).  Returns the events.
+std::vector<obs::TraceEvent> ExpectRingMatchesStages(
+    const std::string& request_id, const std::string& stages_header,
+    const std::string& wide_event) {
+  std::vector<obs::TraceEvent> events;
+  for (obs::TraceEvent& event : obs::TraceCollector::Default().Snapshot()) {
+    if (event.request_id == request_id) events.push_back(std::move(event));
+  }
+  EXPECT_FALSE(events.empty()) << request_id;
+  std::map<std::string, int64_t> ring_us;
+  for (const obs::TraceEvent& event : events) {
+    EXPECT_EQ(event.thread_id, events.front().thread_id) << event.name;
+    ring_us[event.name] += event.duration_us;
+  }
+  EXPECT_EQ(ring_us, ParseStages(stages_header)) << stages_header;
+  EXPECT_NE(wide_event.find("\"stage_count\":" +
+                            std::to_string(events.size()) + ","),
+            std::string::npos)
+      << events.size() << " ring events; " << wide_event;
+  return events;
+}
+
+size_t CountNamed(const std::vector<obs::TraceEvent>& events,
+                  const std::string& name) {
+  size_t n = 0;
+  for (const obs::TraceEvent& event : events) n += event.name == name;
+  return n;
+}
+
+TEST_F(ObservabilityTest, RingEventsOfARequestAreItsStages) {
+  StartStack();
+  obs::TraceCollector::Default().Clear();
+  HttpClient client = Client();
+
+  auto created = client.Request("POST", "/sessions", "{\"k\":3}",
+                                {{"X-Request-Id", "ring-create-1"}});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created->status, 201) << created->body;
+  const std::string* create_stages = created->FindHeader("x-request-stages");
+  ASSERT_NE(create_stages, nullptr);
+  const std::vector<obs::TraceEvent> create_events = ExpectRingMatchesStages(
+      "ring-create-1", *create_stages, WideEventFor("ring-create-1"));
+  // One span per region: no second event for the create or the build.
+  EXPECT_EQ(CountNamed(create_events, "http.dispatch"), 1u);
+  EXPECT_EQ(CountNamed(create_events, "session_manager.create"), 1u);
+  EXPECT_EQ(CountNamed(create_events, "fmcache.build"), 1u);
+  EXPECT_EQ(CountNamed(create_events, "core.build"), 1u);
+  EXPECT_GE(CountNamed(create_events, "reference_store.fill"), 1u);
+
+  const std::string id = JsonValue::Parse(created->body)->GetString("id", "");
+  auto next = client.Request("GET", "/sessions/" + id + "/next");
+  ASSERT_TRUE(next.ok());
+  ASSERT_EQ(next->status, 200) << next->body;
+  const int64_t view =
+      JsonValue::Parse(next->body)->Find("views")->array()[0].GetInt("view",
+                                                                     -1);
+  ASSERT_GE(view, 0);
+  // Evicted, so the label restores the session from its snapshot first.
+  ASSERT_EQ(manager_->EvictIdleOlderThan(0.0), 1u);
+  auto labeled = client.Request(
+      "POST", "/sessions/" + id + "/label",
+      "{\"view\":" + std::to_string(view) + ",\"label\":1}",
+      {{"X-Request-Id", "ring-label-1"}});
+  ASSERT_TRUE(labeled.ok());
+  ASSERT_EQ(labeled->status, 200) << labeled->body;
+  const std::string* label_stages = labeled->FindHeader("x-request-stages");
+  ASSERT_NE(label_stages, nullptr);
+  const std::vector<obs::TraceEvent> label_events = ExpectRingMatchesStages(
+      "ring-label-1", *label_stages, WideEventFor("ring-label-1"));
+  EXPECT_EQ(CountNamed(label_events, "session_manager.restore"), 1u);
+  EXPECT_EQ(CountNamed(label_events, "session_manager.label"), 1u);
+  EXPECT_EQ(CountNamed(label_events, "core.seeker_label"), 1u);
+  // http.dispatch is the request's root span.
+  for (const obs::TraceEvent& event : label_events) {
+    if (event.name == "http.dispatch") {
+      EXPECT_EQ(event.parent_id, 0u);
+    }
+  }
+}
+
 TEST_F(ObservabilityTest, DeleteIsAttributedToTheSessionManager) {
   StartStack();
   HttpClient client = Client();
@@ -255,11 +358,15 @@ TEST_F(ObservabilityTest, StatuszShowsStalledRequestInFlight) {
   Stopwatch deadline;
   bool seen = false;
   while (deadline.ElapsedSeconds() < 10.0) {
+    // The request is registered in flight before its endpoint is
+    // stamped; it is parked (and stamped) once the stall has fired.
+    const bool parked = injector.Stats("serve.handler_stall").fires > 0;
     auto response = prober.Request("GET", "/statusz");
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200);
     statusz = response->body;
-    if (statusz.find("\"id\":\"stall-1\"") != std::string::npos) {
+    if (parked &&
+        statusz.find("\"id\":\"stall-1\"") != std::string::npos) {
       seen = true;
       break;
     }

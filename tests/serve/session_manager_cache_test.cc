@@ -94,7 +94,9 @@ TEST(SessionManagerCacheTest, DifferentFiltersShareOneReferenceFill) {
     if (event.name != "reference_store.fill") continue;
     for (uint64_t up = event.parent_id; up != 0 && by_id.count(up) > 0;
          up = by_id[up].parent_id) {
-      if (by_id[up].name == "serve.session_create") fill_under_create = true;
+      if (by_id[up].name == "session_manager.create") {
+        fill_under_create = true;
+      }
     }
   }
   EXPECT_TRUE(fill_under_create);

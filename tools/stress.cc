@@ -64,6 +64,7 @@
 
 #include "args.h"
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -385,15 +386,15 @@ void PrintFaultPlan(const StressConfig& config) {
               static_cast<unsigned long long>(config.fault_seed));
   for (const auto& [point, prob] : FaultPlan(config.fault_prob)) {
     std::string bits;
-    uint64_t digest = 1469598103934665603ULL;
+    uint64_t digest = kFnv1a64LegacySeed;
     for (uint64_t hit = 1; hit <= 1024; ++hit) {
       const bool fire =
           fault::FaultInjector::Decide(config.fault_seed, point, hit, prob);
       if (hit <= static_cast<uint64_t>(config.plan_hits)) {
         bits += fire ? '1' : '0';
       }
-      digest ^= fire ? 1u : 0u;
-      digest *= 1099511628211ULL;
+      const unsigned char bit = fire ? 1 : 0;
+      digest = Fnv1a64(&bit, 1, digest);
     }
     std::printf("  %-28s p=%.3f  %s  digest=%016llx\n", point.c_str(), prob,
                 bits.c_str(), static_cast<unsigned long long>(digest));

@@ -303,14 +303,12 @@ int CmdSession(const Args& args) {
   args.WarnUnrecognized({"table", "filter", "bins", "ustar", "k", "strategy",
                          "max-labels", "alpha", "threads", "seed",
                          "metrics-out", "trace-out", "events-out"});
-  // vs::obs wiring: the three artifact flags opt into metrics, trace
-  // spans and the session event journal; instrumentation stays in its
-  // one-relaxed-load disabled state otherwise.
+  // vs::obs wiring: the metrics registry and the trace ring always
+  // record; the three artifact flags only choose which of them (and the
+  // session event journal) are written out.
   const std::string metrics_out = args.Get("metrics-out");
   const std::string trace_out = args.Get("trace-out");
   const std::string events_out = args.Get("events-out");
-  if (!metrics_out.empty()) obs::MetricsRegistry::Default().set_enabled(true);
-  if (!trace_out.empty()) obs::TraceCollector::Default().set_enabled(true);
   std::unique_ptr<obs::JsonlFileSink> journal;
   if (!events_out.empty()) {
     auto sink = obs::JsonlFileSink::Open(events_out);
@@ -418,10 +416,9 @@ int CmdServe(const Args& args) {
     return 0;
   }
 
-  // /metrics and per-request spans are the point of a server, so the obs
-  // subsystem is always on in serve mode (the trace ring is bounded).
+  // /metrics is the point of a server, so the registry is forced on in
+  // serve mode even if an embedding caller turned it off.
   obs::MetricsRegistry::Default().set_enabled(true);
-  obs::TraceCollector::Default().set_enabled(true);
 
   serve::SessionManagerOptions manager_options;
   manager_options.max_sessions =
@@ -609,7 +606,6 @@ int CmdRoute(const Args& args) {
   }
 
   obs::MetricsRegistry::Default().set_enabled(true);
-  obs::TraceCollector::Default().set_enabled(true);
 
   cluster::ClusterRouterOptions options;
   const std::vector<std::string> entries = SplitCommaList(args.Get("shards"));
